@@ -42,19 +42,33 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     The grid is anchored at the coordinate origin (cell index floor(p / leaf)).
     Output order is lexicographic by voxel index. Normals are averaged and
     renormalized, colors averaged, curvatures averaged.
+
+    Voxels are grouped by a lexsort of the integer cell indices, so the cells
+    come out in that order without a combined linear key (which would overflow
+    int64 for wide clouds at fine leaves). `np.bincount` with weights adds
+    each voxel's members in input order, the same additions a per-point
+    accumulation makes, so the centroids are exact.
     """
     if leaf <= 0:
         raise ValueError("leaf size must be positive")
-    if len(cloud) == 0:
+    n = len(cloud)
+    if n == 0:
         return PointCloud(np.empty((0, 3)))
     idx = np.floor(cloud.points / leaf).astype(np.int64)
-    uniq, inv = np.unique(idx, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    cells = idx[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(cells[1:] != cells[:-1], axis=1, out=starts[1:])
+    inv = np.empty(n, dtype=np.int64)
+    inv[order] = np.cumsum(starts) - 1
     counts = np.bincount(inv).astype(np.float64)
 
+    def bucket_sum(values):
+        return np.bincount(inv, weights=values, minlength=len(counts))
+
     def bucket_mean(values):
-        sums = np.zeros((len(uniq), values.shape[1]))
-        np.add.at(sums, inv, values)
+        sums = np.column_stack([bucket_sum(values[:, j]) for j in range(values.shape[1])])
         return sums / counts[:, None]
 
     pts = bucket_mean(cloud.points)
@@ -69,9 +83,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
         colors = np.clip(np.rint(bucket_mean(cloud.colors.astype(np.float64))), 0, 255)
     curvatures = None
     if cloud.curvatures is not None:
-        sums = np.zeros(len(uniq))
-        np.add.at(sums, inv, cloud.curvatures)
-        curvatures = sums / counts
+        curvatures = bucket_sum(cloud.curvatures) / counts
     return PointCloud(pts, normals, colors, curvatures)
 
 

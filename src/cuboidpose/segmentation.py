@@ -105,14 +105,28 @@ def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def hsv_threshold(rgb: np.ndarray, rng: HsvRange) -> MaskImage:
-    """Binary mask of pixels inside the HSV box; hue wraps when h_lo > h_hi."""
-    h, s, v = rgb_to_hsv(rgb)
+    """Binary mask of pixels inside the HSV box; hue wraps when h_lo > h_hi.
+
+    With `s_lo > 0` only chromatic pixels can pass: a pixel whose channels are
+    all equal has s = 0. Those candidates are found with integer max/min over
+    the channels, and `rgb_to_hsv` runs on them alone. Each pixel still goes
+    through the same float64 formula, so the mask is exactly that of
+    converting the whole frame; only gray pixels skip it.
+    """
+    if rng.s_lo > 0:
+        r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+        candidate = np.maximum(np.maximum(r, g), b) != np.minimum(np.minimum(r, g), b)
+    else:
+        candidate = np.ones(rgb.shape[:2], dtype=bool)
+    h, s, v = rgb_to_hsv(rgb[candidate])
     if rng.h_lo <= rng.h_hi:
         hue_ok = (h >= rng.h_lo) & (h <= rng.h_hi)
     else:
         hue_ok = (h >= rng.h_lo) | (h <= rng.h_hi)
     ok = hue_ok & (s >= rng.s_lo) & (s <= rng.s_hi) & (v >= rng.v_lo) & (v <= rng.v_hi)
-    return MaskImage(np.where(ok, 255, 0).astype(np.uint8))
+    data = np.zeros(rgb.shape[:2], dtype=np.uint8)
+    data[candidate] = np.where(ok, 255, 0)
+    return MaskImage(data)
 
 
 def region_growing(
@@ -275,10 +289,17 @@ def fit_quadrilateral(
     `min_area` pixels or when the reduction changes the hull area by more
     than 15 percent.
     """
+    # Label, collect and erode on the mask's bounding box only. Raster order,
+    # and with it label numbering, is that of the full frame, and erosion's
+    # zero border equals the empty pixels outside the box.
     binary = mask.data != 0
-    labeled, ncomp = ndimage.label(binary, structure=np.ones((3, 3), dtype=int))
-    if ncomp == 0:
+    rows = np.flatnonzero(binary.any(axis=1))
+    if len(rows) == 0:
         raise NoComponent("mask is empty")
+    cols = np.flatnonzero(binary.any(axis=0))
+    y0, x0 = int(rows[0]), int(cols[0])
+    binary = binary[y0 : rows[-1] + 1, x0 : cols[-1] + 1]
+    labeled, _ = ndimage.label(binary, structure=np.ones((3, 3), dtype=int))
     sizes = np.bincount(labeled.ravel())[1:]
     biggest = int(np.argmax(sizes)) + 1
     if sizes[biggest - 1] < min_area:
@@ -286,7 +307,7 @@ def fit_quadrilateral(
             f"largest component has {sizes[biggest - 1]} px, need {min_area}"
         )
     ys, xs = np.nonzero(labeled == biggest)
-    pts = np.column_stack([xs, ys]).astype(np.float64)
+    pts = np.column_stack([xs + x0, ys + y0]).astype(np.float64)
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
@@ -313,7 +334,8 @@ def fit_quadrilateral(
         component = labeled == biggest
         interior = ndimage.binary_erosion(component)
         by, bx = np.nonzero(component & ~interior)
-        polished = _refine_quad(poly, np.column_stack([bx, by]).astype(np.float64))
+        boundary = np.column_stack([bx + x0, by + y0]).astype(np.float64)
+        polished = _refine_quad(poly, boundary)
         if polished is not None:
             poly = polished
     # start at the corner nearest the image origin, ties by row then column

@@ -19,7 +19,6 @@ from .geometry import PointCloud, Pose, rotation_z
 
 LABEL_FACE = 0
 LABEL_BACKGROUND = 1
-LABEL_OUTLIER = 2
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def render_scene(
         closer = (depth == 0) | (bp.depth < depth)
         depth[closer] = bp.depth
         surface[closer] = LABEL_BACKGROUND
-        rgb[closer] = bp.color
+        np.copyto(rgb, np.array(bp.color, dtype=np.uint8), where=closer[..., None])
 
     pose = spec.gt_pose
     corners_cam = pose.transform(_local_corners(spec.cuboid))

@@ -93,6 +93,51 @@ def test_voxel_matches_bucket_oracle():
     assert_allclose(got, want, atol=1e-9)
 
 
+def voxel_oracle(cloud, leaf):
+    """Per-voxel means from a dict, listed in ascending (ix, iy, iz) order."""
+    buckets = {}
+    for i, p in enumerate(cloud.points):
+        buckets.setdefault(tuple(int(k) for k in np.floor(p / leaf)), []).append(i)
+    keys = sorted(buckets)
+    members = [buckets[k] for k in keys]
+    mean = lambda a: np.array([a[m].mean(axis=0) for m in members])  # noqa: E731
+    normals = mean(cloud.normals)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    colors = np.rint(mean(cloud.colors.astype(np.float64)))
+    return keys, mean(cloud.points), normals, colors, mean(cloud.curvatures)
+
+
+def attached_cloud(rng, pts):
+    n = len(pts)
+    normals = rng.normal(size=(n, 3)) + [0.0, 0.0, -3.0]  # no voxel averages to zero
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(pts, normals, rng.integers(0, 256, (n, 3)), rng.uniform(0, 0.1, n))
+
+
+@pytest.mark.parametrize(
+    "spread, leaf",
+    [
+        (0.3, 0.02),  # negative and positive coordinates around the origin
+        (5e3, 0.001),  # ~1e4 m wide at 1 mm: a linear voxel key would overflow int64
+    ],
+)
+def test_voxel_order_and_attachments(spread, leaf):
+    """Output rows follow lexicographic voxel order and carry averaged
+    normals (renormalized), colors and curvatures."""
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(-spread, spread, size=(300, 3))
+    pts = np.repeat(centers, 4, axis=0) + rng.uniform(-2 * leaf, 2 * leaf, size=(1200, 3))
+    cloud = attached_cloud(rng, pts[rng.permutation(len(pts))])
+    out = voxel_downsample(cloud, leaf)
+    keys, points, normals, colors, curvatures = voxel_oracle(cloud, leaf)
+    assert len(out) == len(keys)
+    assert (np.asarray(keys) < 0).any()
+    assert_allclose(out.points, points, rtol=1e-12, atol=1e-9 * leaf)
+    assert_allclose(out.normals, normals, rtol=0, atol=1e-12)
+    assert np.array_equal(out.colors, colors)
+    assert_allclose(out.curvatures, curvatures, rtol=1e-12, atol=0)
+
+
 def test_voxel_bad_leaf():
     with pytest.raises(ValueError):
         voxel_downsample(PointCloud(np.zeros((1, 3))), 0.0)

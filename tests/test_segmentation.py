@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy import ndimage
+from scipy.spatial import ConvexHull
 
 from cuboidpose import (
     CameraIntrinsics,
@@ -27,6 +32,8 @@ from cuboidpose.errors import (
     NoRoiMatch,
     NotQuadrilateralLike,
 )
+from cuboidpose import segmentation
+from cuboidpose.segmentation import _refine_quad, rgb_to_hsv
 
 RED = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_hi=1.0)
 
@@ -91,6 +98,55 @@ def test_hsv_range_validation():
         HsvRange(h_lo=-5.0, h_hi=20.0)
     with pytest.raises(ValueError):
         HsvRange(h_lo=0.0, h_hi=10.0, s_lo=1.5)
+
+
+def full_frame_hsv_mask(rgb, rng):
+    """Oracle: the HSV box applied to every pixel of the frame."""
+    h, s, v = rgb_to_hsv(rgb)
+    if rng.h_lo <= rng.h_hi:
+        hue_ok = (h >= rng.h_lo) & (h <= rng.h_hi)
+    else:
+        hue_ok = (h >= rng.h_lo) | (h <= rng.h_hi)
+    ok = hue_ok & (s >= rng.s_lo) & (s <= rng.s_hi) & (v >= rng.v_lo) & (v <= rng.v_hi)
+    return np.where(ok, 255, 0).astype(np.uint8)
+
+
+@st.composite
+def mixed_images(draw):
+    """Small uint8 images mixing arbitrary, gray, near-gray and saturated pixels."""
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    img = draw(arrays(np.uint8, (h, w, 3))).copy()
+    kind = draw(arrays(np.int8, (h, w), elements=st.integers(0, 3)))
+    img[kind == 1] = img[kind == 1][:, :1]  # gray: all channels equal
+    near = kind == 2  # one channel off gray by one level
+    img[near, 1:] = img[near, :1]
+    img[near, 2] = np.where(img[near, 0] < 255, img[near, 0] + 1, 254)
+    sat = kind == 3  # fully saturated: some channel at 0, another at 255
+    img[sat, 0] = 255
+    img[sat, 2] = 0
+    return img
+
+
+_unit = st.floats(0.0, 1.0)
+_hue = st.floats(0.0, 360.0, exclude_max=True)
+
+
+@st.composite
+def hsv_ranges(draw):
+    """Hue ranges that wrap (h_lo > h_hi) and that do not; s_lo often 0."""
+    h_lo = draw(_hue)
+    h_hi = draw(_hue)
+    s_lo = draw(st.one_of(st.just(0.0), _unit))
+    return HsvRange(h_lo, h_hi, s_lo, draw(_unit), draw(_unit), draw(_unit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_images(), hsv_ranges())
+def test_hsv_matches_full_frame_oracle(img, rng):
+    """Skipping gray pixels when s_lo > 0 leaves the mask unchanged, with and
+    without hue wrap-around."""
+    assert np.array_equal(hsv_threshold(img, rng).data, full_frame_hsv_mask(img, rng))
 
 
 # ---------------------------------------------------------------- clustering
@@ -206,6 +262,89 @@ def test_quadrilateral_picks_largest_component():
     mask.data[5:15, 5:25] = 255  # small distractor blob
     quad = fit_quadrilateral(mask)
     assert max_corner_error(quad, ideal_corners(100, 60, 20.0)) <= 1.5
+
+
+def full_frame_outline(mask):
+    """Oracle: the hull input (pixels of the largest component) and polish
+    input (its outline pixels), labelled and eroded on the whole frame."""
+    labeled, _ = ndimage.label(mask.data != 0, structure=np.ones((3, 3), dtype=int))
+    component = labeled == np.argmax(np.bincount(labeled.ravel())[1:]) + 1
+    ys, xs = np.nonzero(component)
+    by, bx = np.nonzero(component & ~ndimage.binary_erosion(component))
+    return np.column_stack([xs, ys]).astype(float), np.column_stack([bx, by]).astype(float)
+
+
+def fit_seen_inputs(monkeypatch, mask):
+    """Fit `mask`, recording the points given to Qhull and to the polish."""
+    seen = {}
+
+    def hull(pts):
+        seen["pts"] = pts
+        return ConvexHull(pts)
+
+    def refine(poly, boundary):
+        seen["boundary"] = boundary
+        return _refine_quad(poly, boundary)
+
+    monkeypatch.setattr(segmentation, "ConvexHull", hull)
+    monkeypatch.setattr(segmentation, "_refine_quad", refine)
+    return fit_quadrilateral(mask), seen["pts"], seen["boundary"]
+
+
+def test_quadrilateral_shifts_with_embedding(monkeypatch):
+    """The same mask inside a larger frame gives Qhull and the polish the same
+    pixels shifted by the offset, and corners shifted by it to rounding."""
+    mask = rect_mask(100, 60, 17.0, shape=(160, 200), center=(100, 80))
+    quad, pts, boundary = fit_seen_inputs(monkeypatch, mask)
+    oy, ox = 213, 371
+    big = np.zeros((720, 1280), np.uint8)
+    big[oy : oy + 160, ox : ox + 200] = mask.data
+    moved, moved_pts, moved_boundary = fit_seen_inputs(monkeypatch, MaskImage(big))
+    assert np.array_equal(moved_pts, pts + [ox, oy])
+    assert np.array_equal(moved_boundary, boundary + [ox, oy])
+    assert_allclose(moved.corners, quad.corners + [ox, oy], rtol=0, atol=1e-9)
+    assert not np.allclose(quad.corners, fit_quadrilateral(mask, refine=False).corners)
+
+
+def rect_at(shape, rows, cols):
+    data = np.zeros(shape, np.uint8)
+    data[rows[0] : rows[1], cols[0] : cols[1]] = 255
+    return MaskImage(data)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ((0, 60), (40, 120)),  # touching the top border
+        ((60, 120), (40, 120)),  # the bottom border
+        ((30, 90), (0, 80)),  # the left border
+        ((30, 90), (80, 160)),  # the right border
+        ((0, 120), (0, 160)),  # filling the frame
+    ],
+)
+def test_quadrilateral_touching_image_border(monkeypatch, rows, cols):
+    """Pixels beyond the frame count as empty: the labelled box feeds Qhull and
+    the polish the same pixels, in the same order, as the whole frame does."""
+    mask = rect_at((120, 160), rows, cols)
+    quad, pts, boundary = fit_seen_inputs(monkeypatch, mask)
+    want_pts, want_boundary = full_frame_outline(mask)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(boundary, want_boundary)
+    x0, x1, y0, y1 = cols[0], cols[1] - 1, rows[0], rows[1] - 1
+    ideal = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
+    assert max_corner_error(quad, ideal) <= 1e-9
+
+
+def test_quadrilateral_two_components(monkeypatch):
+    """A second, smaller component widens the labelled box but not the answer."""
+    alone = rect_mask(100, 60, 25.0)
+    both = MaskImage(alone.data.copy())
+    both.data[400:480, 600:640] = 255  # 3200 px in the corner, below the face's 6000
+    quad, pts, boundary = fit_seen_inputs(monkeypatch, both)
+    want_pts, want_boundary = full_frame_outline(both)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(boundary, want_boundary)
+    assert np.array_equal(quad.corners, fit_quadrilateral(alone).corners)
 
 
 # ---------------------------------------------------------------- ROI gate
