@@ -38,9 +38,7 @@ from .correction import (
 )
 from .errors import CuboidPoseError, PipelineError
 from .filters import (
-    FilterParams,
     estimate_normals,
-    mls_smooth,
     passthrough,
     statistical_outlier_removal,
     voxel_downsample,
@@ -63,7 +61,6 @@ from .registration import (
     coarse_register,
     icp_refine,
     kabsch,
-    lcp_score,
     pairs_in_range,
 )
 from .segmentation import (
@@ -96,7 +93,6 @@ __all__ = [
     "CuboidPoseError",
     "CuboidSpec",
     "DepthImage",
-    "FilterParams",
     "GroundTruth",
     "HsvRange",
     "MaskImage",
@@ -130,9 +126,7 @@ __all__ = [
     "inject_pose_error",
     "inverse_project",
     "kabsch",
-    "lcp_score",
     "make_reference_face",
-    "mls_smooth",
     "pairs_in_range",
     "passthrough",
     "project",

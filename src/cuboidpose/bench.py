@@ -10,10 +10,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .camera import CameraIntrinsics, deproject_all, deproject_mask
-from .correction import CuboidSpec, ReferenceFace, correct_pose, make_reference_face
+from .correction import (
+    CorrectionReport,
+    CuboidSpec,
+    ReferenceFace,
+    correct_pose,
+    make_reference_face,
+)
 from .errors import CuboidPoseError, NoRoiMatch, ParseError, PipelineError
 from .filters import (
-    FilterParams,
     estimate_normals,
     passthrough,
     statistical_outlier_removal,
@@ -53,87 +58,90 @@ _FACE_TO_CAMERA = np.diag([1.0, -1.0, -1.0])
 # Red face paint used by the synthetic scenes; hue window wraps through 0.
 _DEFAULT_HSV = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_hi=1.0)
 
+_DEFAULT_CUBOID = CuboidSpec(0.30, 0.20, 0.05)
+
+_CASTS = {"int": int, "float": float, "str": str, "bool": lambda raw: bool(int(raw))}
+
+
+def _from_kv(cls, kv: dict[str, str], what: str, **given):
+    """Build a config dataclass from string pairs, each cast to the type of
+    the field it names; unknown keys and uncastable values are ParseErrors."""
+    types = {f.name: f.type for f in fields(cls) if f.init and f.type in _CASTS}
+    kwargs = {}
+    for key, raw in kv.items():
+        if key not in types:
+            raise ParseError(f"unknown {what} config key {key!r}")
+        try:
+            kwargs[key] = _CASTS[types[key]](raw)
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {raw!r}") from None
+    return cls(**given, **kwargs)
+
 
 # ---------------------------------------------------------------- pipeline
 
 @dataclass
 class PipelineConfig:
-    """Knobs for a single end-to-end run."""
+    """Knobs for a single end-to-end run; every field but `cuboid` has a
+    key=value spelling, and the `face_*_m` keys set `cuboid`."""
 
-    cuboid: CuboidSpec
-    hsv: HsvRange = _DEFAULT_HSV
+    cuboid: CuboidSpec = _DEFAULT_CUBOID
     mode: str = "color"  # "color": outline route; "geometry": region growing
-    roi_tolerance: float = 0.15
-    pitch: float = 0.006
-    filters: FilterParams = field(default_factory=FilterParams)
-    registration: RegistrationParams = field(default_factory=RegistrationParams)
-    use_sor: bool = True
-    z_near: float = 0.3
-    z_far: float = 3.0
+    hsv_h_lo: float = _DEFAULT_HSV.h_lo
+    hsv_h_hi: float = _DEFAULT_HSV.h_hi
+    hsv_s_lo: float = _DEFAULT_HSV.s_lo
+    hsv_s_hi: float = _DEFAULT_HSV.s_hi
+    hsv_v_lo: float = _DEFAULT_HSV.v_lo
+    hsv_v_hi: float = _DEFAULT_HSV.v_hi
     min_mask_pixels: int = 100
+    voxel_leaf_m: float = 0.005
+    use_sor: bool = True
+    sor_k: int = 50
+    sor_stddev_mult: float = 1.0
+    normal_radius_m: float = 0.015
+    z_near_m: float = 0.3
+    z_far_m: float = 3.0
+    roi_tolerance: float = 0.15
+    pitch_m: float = 0.006
+    reg_eps_m: float = RegistrationParams.eps
+    reg_inlier_dist_m: float = RegistrationParams.inlier_dist
+    reg_min_score: float = RegistrationParams.min_score
+    reg_seed: int = RegistrationParams.seed
+    hsv: HsvRange = field(init=False)
+    registration: RegistrationParams = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("color", "geometry"):
             raise ValueError(f"unknown pipeline mode {self.mode!r}")
+        self.hsv = HsvRange(
+            self.hsv_h_lo,
+            self.hsv_h_hi,
+            self.hsv_s_lo,
+            self.hsv_s_hi,
+            self.hsv_v_lo,
+            self.hsv_v_hi,
+        )
+        self.registration = RegistrationParams(
+            eps=self.reg_eps_m,
+            inlier_dist=self.reg_inlier_dist_m,
+            min_score=self.reg_min_score,
+            seed=self.reg_seed,
+        )
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "PipelineConfig":
-        """Flat key=value spelling of the nested config."""
-        kv = dict(kv)
-
-        def take(key, cast, default):
-            return cast(kv.pop(key)) if key in kv else default
-
-        try:
-            cuboid = CuboidSpec(
-                float(kv.pop("face_width_m", 0.30)),
-                float(kv.pop("face_height_m", 0.20)),
-                float(kv.pop("face_depth_m", 0.05)),
-            )
-            hsv = HsvRange(
-                h_lo=take("hsv_h_lo", float, _DEFAULT_HSV.h_lo),
-                h_hi=take("hsv_h_hi", float, _DEFAULT_HSV.h_hi),
-                s_lo=take("hsv_s_lo", float, _DEFAULT_HSV.s_lo),
-                s_hi=take("hsv_s_hi", float, _DEFAULT_HSV.s_hi),
-                v_lo=take("hsv_v_lo", float, _DEFAULT_HSV.v_lo),
-                v_hi=take("hsv_v_hi", float, _DEFAULT_HSV.v_hi),
-            )
-            filt = FilterParams(
-                voxel_leaf=take("voxel_leaf_m", float, 0.005),
-                sor_k=take("sor_k", int, 50),
-                sor_stddev_mult=take("sor_stddev_mult", float, 1.0),
-                normal_radius=take("normal_radius_m", float, 0.015),
-            )
-            reg = RegistrationParams(
-                eps=take("reg_eps_m", float, 0.004),
-                inlier_dist=take("reg_inlier_dist_m", float, 0.008),
-                min_score=take("reg_min_score", float, 0.3),
-                seed=take("reg_seed", int, 0),
-            )
-            config = cls(
-                cuboid=cuboid,
-                hsv=hsv,
-                mode=kv.pop("mode", "color"),
-                roi_tolerance=take("roi_tolerance", float, 0.15),
-                pitch=take("pitch_m", float, 0.006),
-                filters=filt,
-                registration=reg,
-                use_sor=bool(take("use_sor", int, 1)),
-                z_near=take("z_near_m", float, 0.3),
-                z_far=take("z_far_m", float, 3.0),
-                min_mask_pixels=take("min_mask_pixels", int, 100),
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad pipeline config value: {exc}") from None
-        if kv:
-            raise ParseError(f"unknown pipeline config key {sorted(kv)[0]!r}")
-        return config
+        """Build from string pairs; unknown keys are config errors."""
+        # the face keys, their defaults and their check belong to BenchConfig
+        face = {k: v for k, v in kv.items() if k.startswith("face_")}
+        cuboid = _from_kv(BenchConfig, face, "pipeline").cuboid
+        rest = {k: v for k, v in kv.items() if k not in face}
+        return _from_kv(cls, rest, "pipeline", cuboid=cuboid)
 
 
 @dataclass
 class PipelineResult:
     pose: Pose
-    report: object
+    report: CorrectionReport
     coarse_score: float
     segment_size: int
     quad: Quadrilateral2D | None
@@ -169,7 +177,6 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
         config.cuboid.depth,
         tolerance=config.roi_tolerance,
     )
-    f = config.filters
     quad = None
     if config.mode == "color":
         with _stage("hsv_threshold"):
@@ -182,9 +189,11 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
         with _stage("deproject"):
             cloud = deproject_mask(intr, depth, mask)
         with _stage("filters"):
-            cloud = voxel_downsample(cloud, f.voxel_leaf)
-            if config.use_sor and len(cloud) > f.sor_k:
-                cloud = statistical_outlier_removal(cloud, f.sor_k, f.sor_stddev_mult)
+            cloud = voxel_downsample(cloud, config.voxel_leaf_m)
+            if config.use_sor and len(cloud) > config.sor_k:
+                cloud = statistical_outlier_removal(
+                    cloud, config.sor_k, config.sor_stddev_mult
+                )
         with _stage("roi_filter"):
             segment, _ = roi_filter([cloud], spec)
         with _stage("t_points"):
@@ -194,11 +203,13 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
         with _stage("deproject"):
             cloud = deproject_all(intr, depth)
         with _stage("filters"):
-            cloud = passthrough(cloud, "z", config.z_near, config.z_far)
-            cloud = voxel_downsample(cloud, f.voxel_leaf)
-            if config.use_sor and len(cloud) > f.sor_k:
-                cloud = statistical_outlier_removal(cloud, f.sor_k, f.sor_stddev_mult)
-            cloud = estimate_normals(cloud, f.normal_radius)
+            cloud = passthrough(cloud, "z", config.z_near_m, config.z_far_m)
+            cloud = voxel_downsample(cloud, config.voxel_leaf_m)
+            if config.use_sor and len(cloud) > config.sor_k:
+                cloud = statistical_outlier_removal(
+                    cloud, config.sor_k, config.sor_stddev_mult
+                )
+            cloud = estimate_normals(cloud, config.normal_radius_m)
         with _stage("region_growing"):
             segments = [cloud.subset(idx) for idx in region_growing(cloud)]
         with _stage("roi_filter"):
@@ -207,7 +218,7 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
             t1, t2 = axis_points_from_cloud(segment)
 
     with _stage("coarse_register"):
-        ref = make_reference_face(config.cuboid, config.pitch)
+        ref = make_reference_face(config.cuboid, config.pitch_m)
         coarse = coarse_register(ref.cloud, segment, config.registration)
     with _stage("correct_pose"):
         normal = np.array(coarse.pose.r[:, 2])
@@ -243,9 +254,9 @@ class BenchConfig:
     inj_dt_mm: float = 3.0
     noise_sigma_mm: float = 1.0
     dropout_frac: float = 0.1  # corner disk radius as a face-diagonal fraction
-    face_width_m: float = 0.30
-    face_height_m: float = 0.20
-    face_depth_m: float = 0.05
+    face_width_m: float = _DEFAULT_CUBOID.width
+    face_height_m: float = _DEFAULT_CUBOID.height
+    face_depth_m: float = _DEFAULT_CUBOID.depth
     distance_m: float = 1.0
     jitter_m: float = 0.02
     tilt_deg: float = 2.0
@@ -262,9 +273,9 @@ class BenchConfig:
     use_coarse: int = 0
     warmup: int = 3
     icp_max_iter: int = 60
-    reg_eps_m: float = 0.004
-    reg_inlier_dist_m: float = 0.008
-    reg_min_score: float = 0.3
+    reg_eps_m: float = RegistrationParams.eps
+    reg_inlier_dist_m: float = RegistrationParams.inlier_dist
+    reg_min_score: float = RegistrationParams.min_score
 
     def __post_init__(self):
         if self.trials < 1:
@@ -288,17 +299,7 @@ class BenchConfig:
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "BenchConfig":
         """Build from string pairs; unknown keys are config errors."""
-        by_name = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, raw in kv.items():
-            if key not in by_name:
-                raise ParseError(f"unknown bench config key {key!r}")
-            caster = int if by_name[key] == "int" else float
-            try:
-                kwargs[key] = caster(raw)
-            except ValueError:
-                raise ParseError(f"bad value for {key}: {raw!r}") from None
-        return cls(**kwargs)
+        return _from_kv(cls, kv, "bench")
 
     @property
     def cuboid(self) -> CuboidSpec:
@@ -418,9 +419,10 @@ def run_trial(config: BenchConfig, ref: ReferenceFace, trial: int) -> TrialRecor
     target = voxel_downsample(deproject_mask(intr, depth, mask), config.voxel_leaf_m)
 
     if config.use_coarse:
-        base = coarse_register(
+        coarse = coarse_register(
             ref.cloud, target, with_seed(config.registration, scene_seed)
-        ).pose
+        )
+        base = _canonical_orientation(coarse.pose, t1, t2)
     else:
         base = gt
     start = inject_pose_error(base, inj_yaw, inj_dt)

@@ -87,6 +87,16 @@ def _check_dims(intr: CameraIntrinsics, img) -> None:
         )
 
 
+def back_project(intr: CameraIntrinsics, x, y, z) -> np.ndarray:
+    """Camera-frame points for pixel coordinates and depths, shape
+    `np.shape(z) + (3,)`; scalars give one point, arrays one per element."""
+    pts = np.empty(np.shape(z) + (3,))
+    pts[..., 0] = (x - intr.cx) * z / intr.fx
+    pts[..., 1] = (y - intr.cy) * z / intr.fy
+    pts[..., 2] = z
+    return pts
+
+
 def inverse_project(intr: CameraIntrinsics, depth: DepthImage, pixel) -> np.ndarray:
     """3D point (meters, camera frame) for an integer pixel (x, y).
 
@@ -99,7 +109,7 @@ def inverse_project(intr: CameraIntrinsics, depth: DepthImage, pixel) -> np.ndar
     z = float(depth.data[y, x])
     if z <= 0.0:
         raise InvalidDepth(f"no depth at pixel ({x}, {y})")
-    return np.array([(x - intr.cx) * z / intr.fx, (y - intr.cy) * z / intr.fy, z])
+    return back_project(intr, x, y, z)
 
 
 def project(intr: CameraIntrinsics, point) -> tuple[tuple[float, float], float]:
@@ -120,12 +130,7 @@ def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -
     _check_dims(intr, depth)
     _check_dims(intr, mask)
     ys, xs = np.nonzero((mask.data != 0) & (depth.data > 0))
-    z = depth.data[ys, xs]
-    pts = np.empty((len(z), 3))
-    pts[:, 0] = (xs - intr.cx) * z / intr.fx
-    pts[:, 1] = (ys - intr.cy) * z / intr.fy
-    pts[:, 2] = z
-    return PointCloud(pts)
+    return PointCloud(back_project(intr, xs, ys, depth.data[ys, xs]))
 
 
 def deproject_all(intr: CameraIntrinsics, depth: DepthImage) -> PointCloud:

@@ -1,9 +1,7 @@
-"""Point cloud conditioning: crop, voxel downsample, outlier removal, normal
-estimation and moving-least-squares smoothing."""
+"""Point cloud conditioning: crop, voxel downsample, outlier removal and
+normal estimation."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -12,18 +10,6 @@ from .errors import InsufficientNeighbors, TooFewPoints
 from .geometry import PointCloud
 
 _AXES = {"x": 0, "y": 1, "z": 2}
-
-
-@dataclass
-class FilterParams:
-    """Defaults for the standard conditioning chain."""
-
-    voxel_leaf: float = 0.005
-    sor_k: int = 50
-    sor_stddev_mult: float = 1.0
-    normal_radius: float = 0.015
-    mls_radius: float = 0.02
-    mls_order: int = 1
 
 
 def passthrough(cloud: PointCloud, axis: str, lo: float, hi: float) -> PointCloud:
@@ -102,15 +88,6 @@ def statistical_outlier_removal(
     return cloud.subset(mean_d <= threshold)
 
 
-def _neighborhood_frame(pts):
-    """Centroid and ascending-eigenvalue principal frame of a small point set."""
-    c = pts.mean(axis=0)
-    d = pts - c
-    cov = d.T @ d / len(pts)
-    evals, evecs = np.linalg.eigh(cov)
-    return c, evals, evecs
-
-
 def estimate_normals(cloud: PointCloud, radius: float = 0.015) -> PointCloud:
     """Per-point plane normals from radius neighborhoods, oriented toward the
     camera origin, plus surface-variation curvature.
@@ -129,7 +106,9 @@ def estimate_normals(cloud: PointCloud, radius: float = 0.015) -> PointCloud:
     for i, hood in enumerate(hoods):
         if len(hood) < 3:
             continue
-        _, evals, evecs = _neighborhood_frame(pts[hood])
+        local = pts[hood] - pts[hood].mean(axis=0)
+        # ascending eigenvalues: the first axis is the plane normal
+        evals, evecs = np.linalg.eigh(local.T @ local / len(hood))
         normal = evecs[:, 0]
         if normal @ pts[i] > 0:
             normal = -normal
@@ -137,44 +116,3 @@ def estimate_normals(cloud: PointCloud, radius: float = 0.015) -> PointCloud:
         total = evals.sum()
         curvatures[i] = evals[0] / total if total > 0 else 0.0
     return PointCloud(pts.copy(), normals, cloud.colors, curvatures)
-
-
-def mls_smooth(cloud: PointCloud, radius: float = 0.02, order: int = 1) -> PointCloud:
-    """Project each point onto a polynomial surface fit to its radius
-    neighborhood (order 1 = plane, order 2 = quadric over the local plane).
-
-    Points whose neighborhood is too small for the fit pass through unchanged.
-    An exactly planar cloud is a fixed point of the operation.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    n = len(cloud)
-    if n < 3:
-        raise InsufficientNeighbors(f"cannot smooth a cloud of {n} points")
-    pts = cloud.points
-    tree = cKDTree(pts)
-    hoods = tree.query_ball_point(pts, radius)
-    out = pts.copy()
-    new_normals = None if cloud.normals is None else np.array(cloud.normals)
-    for i, hood in enumerate(hoods):
-        if len(hood) < 3:
-            continue
-        c, _, evecs = _neighborhood_frame(pts[hood])
-        normal = evecs[:, 0]
-        rel = pts[i] - c
-        if order == 1 or len(hood) < 8:
-            out[i] = pts[i] - (rel @ normal) * normal
-        else:
-            e1, e2 = evecs[:, 2], evecs[:, 1]
-            local = pts[hood] - c
-            u, v, w = local @ e1, local @ e2, local @ normal
-            design = np.column_stack([np.ones_like(u), u, v, u * u, u * v, v * v])
-            coef, *_ = np.linalg.lstsq(design, w, rcond=None)
-            ui, vi = rel @ e1, rel @ e2
-            height = coef @ np.array([1.0, ui, vi, ui * ui, ui * vi, vi * vi])
-            out[i] = c + ui * e1 + vi * e2 + height * normal
-        if new_normals is not None:
-            if normal @ pts[i] > 0:
-                normal = -normal
-            new_normals[i] = normal
-    return PointCloud(out, new_normals, cloud.colors, None)

@@ -1,5 +1,5 @@
-"""File formats: ASCII PLY clouds, PGM/PPM images, key=value configs and the
-ground-truth sidecar."""
+"""File formats: PGM/PPM images, key=value configs and the ground-truth
+sidecar."""
 
 from __future__ import annotations
 
@@ -10,136 +10,7 @@ import numpy as np
 from .camera import CameraIntrinsics, DepthImage, MaskImage
 from .correction import CuboidSpec
 from .errors import ParseError
-from .geometry import PointCloud, Pose
-
-_FLOAT_TYPES = {"float", "double", "float32", "float64"}
-_FLOAT_PROPS = ("x", "y", "z", "nx", "ny", "nz")
-_COLOR_PROPS = ("red", "green", "blue")
-
-
-# ---------------------------------------------------------------- PLY
-
-def save_ply(path, cloud: PointCloud) -> None:
-    """ASCII PLY with x/y/z doubles, optional normals, optional uchar colors.
-
-    Floats are printed with 17 significant digits so a read back is lossless.
-    """
-    props = ["property double x", "property double y", "property double z"]
-    columns = [cloud.points]
-    if cloud.normals is not None:
-        props += ["property double nx", "property double ny", "property double nz"]
-        columns.append(cloud.normals)
-    float_block = np.hstack(columns)
-    with open(path, "w", encoding="ascii") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(cloud)}\n")
-        f.write("\n".join(props) + "\n")
-        if cloud.colors is not None:
-            f.write(
-                "property uchar red\nproperty uchar green\nproperty uchar blue\n"
-            )
-        f.write("end_header\n")
-        for i in range(len(cloud)):
-            parts = [f"{v:.17g}" for v in float_block[i]]
-            if cloud.colors is not None:
-                parts += [str(int(v)) for v in cloud.colors[i]]
-            f.write(" ".join(parts) + "\n")
-
-
-def load_ply(path) -> PointCloud:
-    """Read the subset of ASCII PLY written by `save_ply`.
-
-    Raises ParseError (with a line number) on anything malformed: binary
-    formats, unknown properties, missing coordinates, short rows or a vertex
-    count mismatch.
-    """
-    with open(path, "r", encoding="ascii", errors="replace") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise ParseError("missing 'ply' magic", 1)
-    n_vertex = None
-    prop_names: list[str] = []
-    header_end = None
-    saw_format = False
-    for ln, raw in enumerate(lines[1:], start=2):
-        tok = raw.split()
-        if not tok or tok[0] == "comment":
-            continue
-        if tok[0] == "format":
-            if tok[1:] != ["ascii", "1.0"]:
-                raise ParseError(f"unsupported format {' '.join(tok[1:])}", ln)
-            saw_format = True
-        elif tok[0] == "element":
-            if tok[1] != "vertex":
-                raise ParseError(f"unsupported element {tok[1]!r}", ln)
-            try:
-                n_vertex = int(tok[2])
-            except (IndexError, ValueError):
-                raise ParseError("bad vertex count", ln) from None
-        elif tok[0] == "property":
-            if len(tok) != 3:
-                raise ParseError("malformed property", ln)
-            typ, name = tok[1], tok[2]
-            if name in _FLOAT_PROPS:
-                if typ not in _FLOAT_TYPES:
-                    raise ParseError(f"property {name} must be float typed", ln)
-            elif name in _COLOR_PROPS:
-                if typ not in ("uchar", "uint8"):
-                    raise ParseError(f"property {name} must be uchar", ln)
-            else:
-                raise ParseError(f"unsupported property {name!r}", ln)
-            prop_names.append(name)
-        elif tok[0] == "end_header":
-            header_end = ln
-            break
-        else:
-            raise ParseError(f"unexpected header line {raw!r}", ln)
-    if header_end is None or not saw_format or n_vertex is None:
-        raise ParseError("incomplete header", len(lines))
-    for coord in ("x", "y", "z"):
-        if coord not in prop_names:
-            raise ParseError(f"missing {coord} property", header_end)
-    has_normals = all(p in prop_names for p in ("nx", "ny", "nz"))
-    if not has_normals and any(p in prop_names for p in ("nx", "ny", "nz")):
-        raise ParseError("incomplete normal properties", header_end)
-    has_colors = all(p in prop_names for p in _COLOR_PROPS)
-    if not has_colors and any(p in prop_names for p in _COLOR_PROPS):
-        raise ParseError("incomplete color properties", header_end)
-
-    data_lines = lines[header_end:]
-    rows = [r for r in data_lines if r.strip()]
-    if len(rows) != n_vertex:
-        raise ParseError(
-            f"expected {n_vertex} vertex rows, found {len(rows)}", len(lines)
-        )
-    col = {name: i for i, name in enumerate(prop_names)}
-    pts = np.empty((n_vertex, 3))
-    normals = np.empty((n_vertex, 3)) if has_normals else None
-    colors = np.empty((n_vertex, 3), dtype=np.uint8) if has_colors else None
-    for i, row in enumerate(rows):
-        ln = header_end + 1 + i
-        vals = row.split()
-        if len(vals) != len(prop_names):
-            raise ParseError(
-                f"expected {len(prop_names)} values, found {len(vals)}", ln
-            )
-        try:
-            pts[i] = [float(vals[col["x"]]), float(vals[col["y"]]), float(vals[col["z"]])]
-            if normals is not None:
-                normals[i] = [
-                    float(vals[col["nx"]]),
-                    float(vals[col["ny"]]),
-                    float(vals[col["nz"]]),
-                ]
-            if colors is not None:
-                colors[i] = [
-                    int(vals[col["red"]]),
-                    int(vals[col["green"]]),
-                    int(vals[col["blue"]]),
-                ]
-        except ValueError:
-            raise ParseError("non-numeric vertex value", ln) from None
-    return PointCloud(pts, normals, colors)
+from .geometry import Pose
 
 
 # ---------------------------------------------------------------- PNM images

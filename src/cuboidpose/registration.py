@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from .errors import NoCorrespondences, RegistrationFailed
 from .filters import voxel_downsample
-from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize
+from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize, rotation_z
 
 
 @dataclass
@@ -81,18 +81,6 @@ def kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
     fix = np.diag([1.0, 1.0, d])
     r = vt.T @ fix @ u.T
     return Pose(r, cd - r @ cs)
-
-
-def lcp_score(
-    source: PointCloud, target: PointCloud, pose: Pose, inlier_dist: float = 0.008
-) -> float:
-    """Fraction of transformed source points with a target neighbor within
-    `inlier_dist`."""
-    if len(source) == 0 or len(target) == 0:
-        raise NoCorrespondences("both clouds must be non-empty")
-    tree = cKDTree(target.points)
-    d, _ = tree.query(pose.transform(source.points))
-    return float(np.mean(d <= inlier_dist))
 
 
 def _line_intersection_ratios(a, b, c, d, coplanar_eps):
@@ -236,13 +224,7 @@ def _box_snap(src_pts: np.ndarray, tgt_pts: np.ndarray, pose: Pose) -> Pose:
             f2 = box(c2)[0]
     theta = (a + b) / 2.0
     _, qx, qy = box(theta)
-    r_new = r @ np.array(
-        [
-            [np.cos(theta), -np.sin(theta), 0.0],
-            [np.sin(theta), np.cos(theta), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
+    r_new = r @ rotation_z(theta)
     delta = np.array(
         [
             (qx[0] + qx[1]) / 2.0 - (sx[0] + sx[1]) / 2.0,
@@ -299,6 +281,13 @@ def coarse_register(
         np.linspace(0, len(src) - 1, min(params.lcp_sample, len(src))).astype(int)
     )
     sample = src[sample_idx]
+
+    def score_at(pose: Pose, dist: float) -> float:
+        """LCP score: fraction of sampled source points with a target
+        neighbor within `dist` under `pose`."""
+        d, _ = target_tree.query(pose.transform(sample))
+        return float(np.mean(d <= dist))
+
     best_score = -1.0
     best_pose: Pose | None = None
     for attempt in range(params.max_iterations):
@@ -337,8 +326,7 @@ def coarse_register(
                 continue
             # rank at the tight pair tolerance: at the loose inlier radius a
             # pose several millimeters off is indistinguishable from aligned
-            d, _ = target_tree.query(pose.transform(sample))
-            score = float(np.mean(d <= params.eps))
+            score = score_at(pose, params.eps)
             if score > best_score:
                 best_score = score
                 best_pose = pose
@@ -364,14 +352,8 @@ def coarse_register(
             break
         pose = kabsch(src[inl], tgt[idx[inl]])
     snapped = _box_snap(src, tgt, pose)
-
-    def tight(p: Pose) -> float:
-        d, _ = target_tree.query(p.transform(sample))
-        return float(np.mean(d <= params.eps))
-
-    pose = max((snapped, pose, best_pose), key=tight)
-    d, _ = target_tree.query(pose.transform(sample))
-    final_score = float(np.mean(d <= params.inlier_dist))
+    pose = max((snapped, pose, best_pose), key=lambda p: score_at(p, params.eps))
+    final_score = score_at(pose, params.inlier_dist)
     pose = Pose(orthonormalize(pose.r), pose.t)
     return RegistrationResult(pose, final_score, time.perf_counter() - t0)
 

@@ -10,7 +10,13 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .camera import CameraIntrinsics, DepthImage, MaskImage, sample_depth_window
+from .camera import (
+    CameraIntrinsics,
+    DepthImage,
+    MaskImage,
+    back_project,
+    sample_depth_window,
+)
 from .errors import (
     InvalidDepth,
     MissingNormals,
@@ -389,9 +395,7 @@ def _edge_midpoint_sample(intr, depth, mid, toward, window):
     norm = np.linalg.norm(direction)
     center = mid + direction / norm * _INWARD_PIXELS if norm > 1e-9 else mid
     z = sample_depth_window(depth, center, window)
-    return np.array(
-        [(mid[0] - intr.cx) * z / intr.fx, (mid[1] - intr.cy) * z / intr.fy, z]
-    )
+    return back_project(intr, mid[0], mid[1], z)
 
 
 def target_axis_points(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraIntrinsics, DepthImage, MaskImage
+from .camera import CameraIntrinsics, DepthImage, MaskImage, back_project
 from .correction import CuboidSpec
 from .errors import FaceOutOfView, InvalidSpec
 from .geometry import PointCloud, Pose, rotation_z
@@ -187,11 +187,7 @@ def render_scene(
     mask_img = MaskImage(np.where(face_mask, 255, 0).astype(np.uint8))
 
     vy, vx = np.nonzero(depth_q > 0)
-    z = depth_q[vy, vx]
-    pts = np.empty((len(z), 3))
-    pts[:, 0] = (vx - intr.cx) * z / intr.fx
-    pts[:, 1] = (vy - intr.cy) * z / intr.fy
-    pts[:, 2] = z
+    pts = back_project(intr, vx, vy, depth_q[vy, vx])
     cloud = PointCloud(pts, colors=rgb[vy, vx])
     labels = surface[vy, vx]
     gt = GroundTruth(pose=pose, face_mask=mask_img, labels=labels)

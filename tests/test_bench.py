@@ -1,6 +1,8 @@
 """Benchmark harness: trial drawing, the end-to-end pipeline, and the CSV
 report writer."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,11 +16,13 @@ from cuboidpose.bench import (
     run_trial,
     scene_spec_for,
 )
+from cuboidpose.cli import main
 from cuboidpose.correction import make_reference_face
 from cuboidpose.errors import ParseError, PipelineError
 from cuboidpose.geometry import rotation_angle
-from cuboidpose.io import save_scene
-from cuboidpose.segmentation import target_axis_points
+from cuboidpose.io import save_scene, write_kv
+from cuboidpose.registration import RegistrationParams
+from cuboidpose.segmentation import HsvRange, target_axis_points
 from cuboidpose.synth import render_scene
 
 
@@ -67,6 +71,19 @@ def test_run_trial_correction_beats_injection():
     assert abs(rec.inj_yaw_deg) <= config.inj_yaw_deg
     assert rec.corr_rot_err_deg < 0.5
     assert rec.corr_trans_err_mm < 1.0
+
+
+def test_run_trial_from_coarse_pose():
+    """The coarse pose is fixed only up to the rectangle's flips; the trial
+    must fold it to the canonical one before injecting the error, or the
+    correction starts from a flipped face."""
+    config = BenchConfig(use_coarse=1)
+    ref = make_reference_face(config.cuboid, config.pitch_m)
+    for trial in range(3):
+        rec = run_trial(config, ref, trial)
+        # criterion 06's envelope
+        assert rec.corr_rot_err_deg <= 3.3, trial
+        assert rec.corr_trans_err_mm <= 5.3, trial
 
 
 def test_run_bench_csv_and_summary(tmp_path):
@@ -127,10 +144,10 @@ def test_bench_config_validation():
 
 def test_pipeline_config_from_kv():
     config = PipelineConfig.from_kv({"voxel_leaf_m": "0.004", "mode": "geometry"})
-    assert config.filters.voxel_leaf == 0.004
+    assert config.voxel_leaf_m == 0.004
     assert config.mode == "geometry"
     defaults = PipelineConfig.from_kv({})
-    assert defaults.filters.voxel_leaf == 0.005
+    assert defaults.voxel_leaf_m == 0.005
     assert defaults.mode == "color"
     assert defaults.min_mask_pixels == 100
 
@@ -138,6 +155,72 @@ def test_pipeline_config_from_kv():
 def test_pipeline_config_unknown_key():
     with pytest.raises(ParseError):
         PipelineConfig.from_kv({"voxel_leaf": "0.004"})
+
+
+# every pipeline key, each with a value other than its default
+PIPELINE_KV = {
+    "face_width_m": "0.4",
+    "face_height_m": "0.25",
+    "face_depth_m": "0.06",
+    "mode": "geometry",
+    "hsv_h_lo": "350",
+    "hsv_h_hi": "10",
+    "hsv_s_lo": "0.5",
+    "hsv_s_hi": "0.9",
+    "hsv_v_lo": "0.3",
+    "hsv_v_hi": "0.95",
+    "min_mask_pixels": "50",
+    "voxel_leaf_m": "0.004",
+    "use_sor": "0",
+    "sor_k": "30",
+    "sor_stddev_mult": "2",
+    "normal_radius_m": "0.02",
+    "z_near_m": "0.4",
+    "z_far_m": "2.5",
+    "roi_tolerance": "0.2",
+    "pitch_m": "0.005",
+    "reg_eps_m": "0.003",
+    "reg_inlier_dist_m": "0.01",
+    "reg_min_score": "0.4",
+    "reg_seed": "7",
+}
+
+
+def _pipeline_value(config, key):
+    if key.startswith("face_"):
+        return getattr(config.cuboid, key[len("face_") : -len("_m")])
+    return getattr(config, key)
+
+
+def test_pipeline_config_key_set():
+    keys = {f.name for f in fields(PipelineConfig) if f.init and f.name != "cuboid"}
+    assert keys | {"face_width_m", "face_height_m", "face_depth_m"} == set(PIPELINE_KV)
+    assert PipelineConfig.from_kv({}) == PipelineConfig()
+    default = PipelineConfig()
+    for key, raw in PIPELINE_KV.items():
+        config = PipelineConfig.from_kv({key: raw})
+        want = {"mode": "geometry", "use_sor": False}.get(key)
+        want = float(raw) if want is None else want
+        assert _pipeline_value(config, key) == want, key
+        assert _pipeline_value(default, key) != want, key
+    config = PipelineConfig.from_kv(PIPELINE_KV)
+    assert config.hsv == HsvRange(350.0, 10.0, 0.5, 0.9, 0.3, 0.95)
+    assert config.registration == RegistrationParams(
+        eps=0.003, inlier_dist=0.01, min_score=0.4, seed=7
+    )
+
+
+@pytest.mark.parametrize(
+    "kv",
+    [{"voxel": "0.005"}, {"sor_k": "many"}, {"hsv_h_lo": "400"}, {"mode": "bogus"}],
+)
+def test_pipeline_config_rejects_bad_input(tmp_path, kv):
+    with pytest.raises((ParseError, ValueError)):
+        PipelineConfig.from_kv(kv)
+    conf = tmp_path / "pipe.conf"
+    write_kv(conf, kv)
+    # rejected as a config error before the (missing) scene is read
+    assert main(["pipeline", str(tmp_path / "nowhere"), "--config", str(conf)]) == 2
 
 
 def _write_scene(out_dir, spec):

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from cuboidpose import (
     PointCloud,
     estimate_normals,
-    mls_smooth,
     passthrough,
     statistical_outlier_removal,
     voxel_downsample,
@@ -257,45 +256,3 @@ def test_normals_isolated_point_flagged():
 def test_normals_too_few_points():
     with pytest.raises(InsufficientNeighbors):
         estimate_normals(PointCloud(np.zeros((2, 3))))
-
-
-# ---------------------------------------------------------------- smoothing
-
-def test_mls_plane_is_fixed_point():
-    cloud = PointCloud(plane_grid())
-    once = mls_smooth(cloud, radius=0.012)
-    assert_allclose(once.points, cloud.points, atol=1e-9)
-    twice = mls_smooth(once, radius=0.012)
-    assert_allclose(twice.points, once.points, atol=1e-9)
-
-
-def test_mls_reduces_noise():
-    rng = np.random.default_rng(8)
-    flat = plane_grid(z=0.0)
-    noisy = flat + np.column_stack([np.zeros((len(flat), 2)), rng.normal(0, 0.002, len(flat))])
-    smoothed = mls_smooth(PointCloud(noisy), radius=0.012)
-    rms_before = np.sqrt(np.mean(noisy[:, 2] ** 2))
-    rms_after = np.sqrt(np.mean(smoothed.points[:, 2] ** 2))
-    assert rms_after < 0.5 * rms_before
-
-
-def test_mls_passes_isolated_point_through():
-    pts = np.vstack([plane_grid(), [[5.0, 5.0, 5.0]]])
-    out = mls_smooth(PointCloud(pts), radius=0.012)
-    assert_allclose(out.points[-1], [5.0, 5.0, 5.0], atol=0.0)
-
-
-def test_mls_quadratic_order():
-    # a second-order fit should track a gentle parabola better than a plane
-    gx, gy = np.meshgrid(np.arange(0, 0.2, 0.004), np.arange(0, 0.15, 0.004))
-    z = 2.0 * (gx - 0.1) ** 2
-    pts = np.column_stack([gx.ravel(), gy.ravel(), z.ravel()])
-    out = mls_smooth(PointCloud(pts), radius=0.015, order=2)
-    assert np.abs(out.points[:, 2] - pts[:, 2]).max() < 5e-4
-
-
-def test_mls_bad_arguments():
-    with pytest.raises(ValueError):
-        mls_smooth(PointCloud(plane_grid()), order=3)
-    with pytest.raises(InsufficientNeighbors):
-        mls_smooth(PointCloud(np.zeros((2, 3))))

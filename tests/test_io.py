@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cuboidpose import CameraIntrinsics, CuboidSpec, DepthImage, MaskImage, PointCloud, Pose
+from cuboidpose import CameraIntrinsics, CuboidSpec, DepthImage, MaskImage, Pose
 from cuboidpose.errors import ParseError
 from cuboidpose.geometry import rotation_about
 from cuboidpose.io import (
@@ -10,7 +10,6 @@ from cuboidpose.io import (
     load_intrinsics,
     load_pgm8,
     load_pgm16,
-    load_ply,
     load_ppm,
     load_scene,
     read_kv,
@@ -18,66 +17,10 @@ from cuboidpose.io import (
     save_intrinsics,
     save_pgm8,
     save_pgm16,
-    save_ply,
     save_ppm,
     save_scene,
     write_kv,
 )
-
-
-def test_ply_round_trip_points(tmp_path):
-    rng = np.random.default_rng(1)
-    cloud = PointCloud(rng.uniform(-2.0, 2.0, size=(10_000, 3)))
-    path = tmp_path / "cloud.ply"
-    save_ply(path, cloud)
-    back = load_ply(path)
-    assert_allclose(back.points, cloud.points, atol=1e-9)
-
-
-def test_ply_round_trip_attachments(tmp_path):
-    rng = np.random.default_rng(2)
-    n = 500
-    normals = rng.normal(size=(n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cloud = PointCloud(
-        rng.uniform(size=(n, 3)),
-        normals=normals,
-        colors=rng.integers(0, 256, size=(n, 3), dtype=np.uint8),
-    )
-    path = tmp_path / "cloud.ply"
-    save_ply(path, cloud)
-    back = load_ply(path)
-    assert_allclose(back.points, cloud.points, atol=1e-9)
-    assert_allclose(back.normals, cloud.normals, atol=1e-9)
-    assert np.array_equal(back.colors, cloud.colors)
-
-
-def test_ply_missing_z(tmp_path):
-    path = tmp_path / "bad.ply"
-    path.write_bytes(
-        b"ply\nformat ascii 1.0\nelement vertex 2\n"
-        b"property float x\nproperty float y\nend_header\n0 0\n1 1\n"
-    )
-    with pytest.raises(ParseError):
-        load_ply(path)
-
-
-def test_ply_truncated(tmp_path):
-    path = tmp_path / "short.ply"
-    path.write_bytes(
-        b"ply\nformat ascii 1.0\nelement vertex 5\n"
-        b"property float x\nproperty float y\nproperty float z\n"
-        b"end_header\n0 0 0\n1 1 1\n"
-    )
-    with pytest.raises(ParseError):
-        load_ply(path)
-
-
-def test_ply_not_a_ply(tmp_path):
-    path = tmp_path / "nope.ply"
-    path.write_bytes(b"OFF\n3 1 0\n")
-    with pytest.raises(ParseError):
-        load_ply(path)
 
 
 def test_depth_round_trip(tmp_path):
