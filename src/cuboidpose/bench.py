@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,12 +32,7 @@ from .geometry import (
     rotation_z,
 )
 from .io import load_intrinsics, load_pgm16, load_ppm
-from .registration import (
-    RegistrationParams,
-    coarse_register,
-    icp_refine,
-    with_seed,
-)
+from .registration import RegistrationParams, coarse_register, icp_refine
 from .segmentation import (
     HsvRange,
     Quadrilateral2D,
@@ -108,11 +103,14 @@ class PipelineConfig:
     reg_min_score: float = RegistrationParams.min_score
     reg_seed: int = RegistrationParams.seed
     hsv: HsvRange = field(init=False)
+    roi: RoiSpec = field(init=False)
     registration: RegistrationParams = field(init=False)
 
     def __post_init__(self):
         if self.mode not in ("color", "geometry"):
             raise ValueError(f"unknown pipeline mode {self.mode!r}")
+        if self.voxel_leaf_m <= 0:
+            raise ValueError("voxel_leaf_m must be positive")
         self.hsv = HsvRange(
             self.hsv_h_lo,
             self.hsv_h_hi,
@@ -121,6 +119,8 @@ class PipelineConfig:
             self.hsv_v_lo,
             self.hsv_v_hi,
         )
+        c = self.cuboid
+        self.roi = RoiSpec(c.width, c.height, c.depth, self.roi_tolerance)
         self.registration = RegistrationParams(
             eps=self.reg_eps_m,
             inlier_dist=self.reg_inlier_dist_m,
@@ -158,25 +158,25 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
-    """Full chain from scene files to a corrected pose.
+def _thin(cloud, config: PipelineConfig):
+    """Voxel the cloud, then drop statistical outliers when `use_sor` is on."""
+    cloud = voxel_downsample(cloud, config.voxel_leaf_m)
+    if config.use_sor and len(cloud) > config.sor_k:
+        cloud = statistical_outlier_removal(cloud, config.sor_k, config.sor_stddev_mult)
+    return cloud
 
-    Color mode thresholds the RGB image, fits the outline quadrilateral and
-    samples the axis points from it. Geometry mode ignores color and segments
-    the cloud by region growing instead. Both end with coarse registration of
-    the reference grid followed by the yaw/translation correction.
+
+def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
+    """The front end: (face segment, axis points t1 and t2, outline quad).
+
+    Color mode thresholds the RGB image, sizes the face on the deprojected
+    mask, thins that cloud into the segment, and samples the axis points from
+    the outline quadrilateral. The ROI gate runs before voxelling because
+    where the noisy face crosses a voxel layer the centroids come in denser
+    stripes, which tilt the voxel cloud's PCA box by up to 10 degrees and
+    make a true face read too large. Geometry mode ignores color and segments
+    the cloud by region growing; it returns no quad.
     """
-    with _stage("load"):
-        rgb = load_ppm(os.path.join(scene_dir, "rgb.ppm"))
-        depth = load_pgm16(os.path.join(scene_dir, "depth.pgm"))
-        intr = load_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
-
-    spec = RoiSpec(
-        config.cuboid.width,
-        config.cuboid.height,
-        config.cuboid.depth,
-        tolerance=config.roi_tolerance,
-    )
     quad = None
     if config.mode == "color":
         with _stage("hsv_threshold"):
@@ -188,14 +188,10 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
                 )
         with _stage("deproject"):
             cloud = deproject_mask(intr, depth, mask)
-        with _stage("filters"):
-            cloud = voxel_downsample(cloud, config.voxel_leaf_m)
-            if config.use_sor and len(cloud) > config.sor_k:
-                cloud = statistical_outlier_removal(
-                    cloud, config.sor_k, config.sor_stddev_mult
-                )
         with _stage("roi_filter"):
-            segment, _ = roi_filter([cloud], spec)
+            roi_filter([cloud], config.roi)
+        with _stage("filters"):
+            segment = _thin(cloud, config)
         with _stage("t_points"):
             quad = fit_quadrilateral(mask)
             t1, t2 = target_axis_points(quad, intr, depth)
@@ -204,19 +200,25 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
             cloud = deproject_all(intr, depth)
         with _stage("filters"):
             cloud = passthrough(cloud, "z", config.z_near_m, config.z_far_m)
-            cloud = voxel_downsample(cloud, config.voxel_leaf_m)
-            if config.use_sor and len(cloud) > config.sor_k:
-                cloud = statistical_outlier_removal(
-                    cloud, config.sor_k, config.sor_stddev_mult
-                )
-            cloud = estimate_normals(cloud, config.normal_radius_m)
+            cloud = estimate_normals(_thin(cloud, config), config.normal_radius_m)
         with _stage("region_growing"):
             segments = [cloud.subset(idx) for idx in region_growing(cloud)]
         with _stage("roi_filter"):
-            segment, _ = roi_filter(segments, spec)
+            segment, _ = roi_filter(segments, config.roi)
         with _stage("t_points"):
             t1, t2 = axis_points_from_cloud(segment)
+    return segment, t1, t2, quad
 
+
+def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
+    """Full chain from scene files to a corrected pose: load, segment the
+    face (`_segment`), register the reference grid coarsely, then correct
+    yaw and translation."""
+    with _stage("load"):
+        rgb = load_ppm(os.path.join(scene_dir, "rgb.ppm"))
+        depth = load_pgm16(os.path.join(scene_dir, "depth.pgm"))
+        intr = load_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
+    segment, t1, t2, quad = _segment(rgb, depth, intr, config)
     with _stage("coarse_register"):
         ref = make_reference_face(config.cuboid, config.pitch_m)
         coarse = coarse_register(ref.cloud, segment, config.registration)
@@ -276,6 +278,7 @@ class BenchConfig:
     reg_eps_m: float = RegistrationParams.eps
     reg_inlier_dist_m: float = RegistrationParams.inlier_dist
     reg_min_score: float = RegistrationParams.min_score
+    pipeline: PipelineConfig = field(init=False)  # the trial front end
 
     def __post_init__(self):
         if self.trials < 1:
@@ -295,6 +298,15 @@ class BenchConfig:
             raise ValueError("dropout_frac must be in [0, 0.3)")
         if self.distance_m <= 0.3:
             raise ValueError("distance_m must exceed 0.3")
+        self.pipeline = PipelineConfig(
+            cuboid=self.cuboid,
+            voxel_leaf_m=self.voxel_leaf_m,
+            use_sor=False,
+            pitch_m=self.pitch_m,
+            reg_eps_m=self.reg_eps_m,
+            reg_inlier_dist_m=self.reg_inlier_dist_m,
+            reg_min_score=self.reg_min_score,
+        )
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "BenchConfig":
@@ -320,11 +332,7 @@ class BenchConfig:
 
     @property
     def registration(self) -> RegistrationParams:
-        return RegistrationParams(
-            eps=self.reg_eps_m,
-            inlier_dist=self.reg_inlier_dist_m,
-            min_score=self.reg_min_score,
-        )
+        return self.pipeline.registration
 
 
 @dataclass
@@ -407,21 +415,17 @@ def scene_spec_for(
 
 
 def run_trial(config: BenchConfig, ref: ReferenceFace, trial: int) -> TrialRecord:
-    """One seeded scene; ICP and the correction start from the same pose."""
+    """One seeded scene through the pipeline's front end, `config.pipeline`
+    (SOR off); ICP and the correction start from the same pose."""
     scene_seed, gt, corner, inj_yaw, inj_dt = draw_trial(config, trial)
     scene = scene_spec_for(config, scene_seed, gt, corner)
     rgb, depth, _, _, _ = render_scene(scene)
-    intr = config.intrinsics
-
-    mask = hsv_threshold(rgb, _DEFAULT_HSV)
-    quad = fit_quadrilateral(mask)
-    t1, t2 = target_axis_points(quad, intr, depth)
-    target = voxel_downsample(deproject_mask(intr, depth, mask), config.voxel_leaf_m)
+    target, t1, t2, _ = _segment(rgb, depth, config.intrinsics, config.pipeline)
 
     if config.use_coarse:
-        coarse = coarse_register(
-            ref.cloud, target, with_seed(config.registration, scene_seed)
-        )
+        with _stage("coarse_register"):
+            params = replace(config.registration, seed=scene_seed)
+            coarse = coarse_register(ref.cloud, target, params)
         base = _canonical_orientation(coarse.pose, t1, t2)
     else:
         base = gt

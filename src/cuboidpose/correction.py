@@ -69,8 +69,6 @@ class CorrectionReport:
 
     yaw_error_deg: float
     translation_error_mm: np.ndarray
-    pose_before: Pose
-    pose_after: Pose
     t_estimate: float
     t_correct: float
 
@@ -184,8 +182,6 @@ def correct_pose(
     report = CorrectionReport(
         yaw_error_deg=math.degrees(yaw),
         translation_error_mm=dt_cam * 1000.0,
-        pose_before=pose,
-        pose_after=final,
         t_estimate=t_estimate,
         t_correct=t_correct,
     )

@@ -12,7 +12,7 @@ the fraction of source points landing within an inlier distance of the target
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -393,8 +393,3 @@ def icp_refine(
         d, _ = tree.query(pose.transform(src))
     score = float(np.mean(d <= inlier_dist))
     return RegistrationResult(pose, score, time.perf_counter() - t0)
-
-
-def with_seed(params: RegistrationParams, seed: int) -> RegistrationParams:
-    """Copy of `params` with a different RNG seed."""
-    return replace(params, seed=seed)

@@ -1,6 +1,8 @@
 """Shared fixtures: one camera model and a couple of pre-rendered scenes that
-several test files reuse instead of rendering their own."""
+several test files reuse instead of rendering their own; and the symmetric
+rotation error that the pose tests measure with."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +10,25 @@ import pytest
 
 from cuboidpose import CameraIntrinsics, CuboidSpec, Pose, SceneSpec, render_scene
 from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
+from cuboidpose.geometry import rotation_about, rotation_angle, rotation_z
 from cuboidpose.synth import BackgroundPlane
 
 FACE = CuboidSpec(0.30, 0.20, 0.05)
+
+# flips that map a centered rectangle onto itself; a planar face determines
+# its pose only up to these
+RECT_SYMMETRIES = [
+    np.eye(3),
+    rotation_about([1.0, 0.0, 0.0], np.pi),
+    rotation_about([0.0, 1.0, 0.0], np.pi),
+    rotation_z(np.pi),
+]
+
+
+def symmetric_rot_err_deg(r_est, r_true):
+    return min(
+        math.degrees(rotation_angle(r_est @ s @ r_true.T)) for s in RECT_SYMMETRIES
+    )
 
 
 @pytest.fixture(scope="session")

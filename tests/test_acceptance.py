@@ -9,6 +9,7 @@ three criteria.
 import math
 import statistics
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,31 +39,15 @@ from cuboidpose import (
     render_scene,
     rotation_about,
     rotation_angle,
-    rotation_z,
     run_bench,
     statistical_outlier_removal,
     voxel_downsample,
 )
 from cuboidpose.bench import draw_trial, scene_spec_for
-from cuboidpose.registration import with_seed
+from conftest import symmetric_rot_err_deg
 
 FACE = CuboidSpec(0.30, 0.20, 0.05)
 RED = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_hi=1.0)
-
-# flips that map a centered rectangle onto itself; a planar face determines
-# its pose only up to these
-RECT_SYMMETRIES = [
-    np.eye(3),
-    rotation_about([1.0, 0.0, 0.0], np.pi),
-    rotation_about([0.0, 1.0, 0.0], np.pi),
-    rotation_z(np.pi),
-]
-
-
-def symmetric_rot_err_deg(r_est, r_true):
-    return min(
-        math.degrees(rotation_angle(r_est @ s @ r_true.T)) for s in RECT_SYMMETRIES
-    )
 
 
 def note(request, idx, name, ok, detail):
@@ -244,7 +229,7 @@ def test_criterion_06_coarse_registration(request):
             deproject_mask(config.intrinsics, depth, mask), config.voxel_leaf_m
         )
         result = coarse_register(
-            ref.cloud, target, with_seed(config.registration, scene_seed)
+            ref.cloud, target, replace(config.registration, seed=scene_seed)
         )
         rot_err = symmetric_rot_err_deg(result.pose.r, gt.r)
         trans_err = float(np.linalg.norm(result.pose.t - gt.t)) * 1000.0

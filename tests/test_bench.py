@@ -24,6 +24,7 @@ from cuboidpose.io import save_scene, write_kv
 from cuboidpose.registration import RegistrationParams
 from cuboidpose.segmentation import HsvRange, target_axis_points
 from cuboidpose.synth import render_scene
+from conftest import symmetric_rot_err_deg
 
 
 def test_draw_trial_deterministic():
@@ -86,6 +87,15 @@ def test_run_trial_from_coarse_pose():
         assert rec.corr_trans_err_mm <= 5.3, trial
 
 
+def test_run_trial_failure_names_its_stage():
+    # at 30 m the face covers 56 pixels, under the pipeline's mask minimum
+    config = BenchConfig(distance_m=30.0, background_depth_m=0.0)
+    ref = make_reference_face(config.cuboid, config.pitch_m)
+    with pytest.raises(PipelineError) as err:
+        run_trial(config, ref, 0)
+    assert err.value.stage == "hsv_threshold"
+
+
 def test_run_bench_csv_and_summary(tmp_path):
     config = BenchConfig(trials=3, warmup=0)
     result = run_bench(config, tmp_path)
@@ -140,6 +150,9 @@ def test_bench_config_validation():
         BenchConfig(trials=0)
     with pytest.raises(ValueError):
         BenchConfig(dropout_frac=0.5)
+    # checked by the derived trial front end, `BenchConfig.pipeline`
+    with pytest.raises(ValueError):
+        BenchConfig(voxel_leaf_m=0)
 
 
 def test_pipeline_config_from_kv():
@@ -212,7 +225,14 @@ def test_pipeline_config_key_set():
 
 @pytest.mark.parametrize(
     "kv",
-    [{"voxel": "0.005"}, {"sor_k": "many"}, {"hsv_h_lo": "400"}, {"mode": "bogus"}],
+    [
+        {"voxel": "0.005"},
+        {"sor_k": "many"},
+        {"hsv_h_lo": "400"},
+        {"mode": "bogus"},
+        {"voxel_leaf_m": "0"},
+        {"roi_tolerance": "0.6"},
+    ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):
     with pytest.raises((ParseError, ValueError)):
@@ -276,6 +296,20 @@ def test_pipeline_rejects_wrong_color(tmp_path, drawn):
     _write_scene(tmp_path, spec)
     with pytest.raises(PipelineError):
         run_pipeline(str(tmp_path), PipelineConfig(cuboid=spec.cuboid))
+
+
+def test_pipeline_sizes_the_face_before_voxelling(tmp_path):
+    """The ROI gate accepts a clean face that the PCA box of its voxel cloud
+    reads as too large: scene 31 of criterion 01's sweep."""
+    config = BenchConfig(
+        inj_yaw_deg=5.0, inj_dt_mm=10.0, dropout_frac=0.0, voxel_leaf_m=0.006
+    )
+    scene_seed, gt, corner, _, _ = draw_trial(config, 31)
+    _write_scene(tmp_path, scene_spec_for(config, scene_seed, gt, corner))
+    result = run_pipeline(str(tmp_path), PipelineConfig(use_sor=False))
+    # criterion 06's envelope
+    assert symmetric_rot_err_deg(result.pose.r, gt.r) <= 3.3
+    assert np.linalg.norm(result.pose.t - gt.t) * 1000.0 <= 5.3
 
 
 def test_pipeline_missing_files(tmp_path):

@@ -19,18 +19,11 @@ from cuboidpose.camera import deproject_mask
 from cuboidpose.correction import CuboidSpec
 from cuboidpose.errors import RegistrationFailed
 from cuboidpose.geometry import rotation_about, rotation_angle, rotation_z
-from cuboidpose.registration import RegistrationParams, with_seed
+from cuboidpose.registration import RegistrationParams
 from cuboidpose.synth import inject_pose_error, render_scene
+from conftest import symmetric_rot_err_deg
 
 FACE = CuboidSpec(0.30, 0.20, 0.05)
-
-# flips that map a centered rectangle onto itself
-RECT_SYMMETRIES = [
-    np.eye(3),
-    rotation_about([1.0, 0.0, 0.0], np.pi),
-    rotation_about([0.0, 1.0, 0.0], np.pi),
-    rotation_z(np.pi),
-]
 
 
 def face_cloud(rng, n=100_000):
@@ -38,12 +31,6 @@ def face_cloud(rng, n=100_000):
         [rng.uniform(-0.15, 0.15, n), rng.uniform(-0.10, 0.10, n), np.zeros(n)]
     )
     return pts
-
-
-def symmetric_rot_err_deg(r_est, r_true):
-    return min(
-        np.degrees(rotation_angle(r_est @ s @ r_true.T)) for s in RECT_SYMMETRIES
-    )
 
 
 # ---------------------------------------------------------------- pair search
@@ -198,7 +185,7 @@ def rendered_target():
 def test_coarse_register_finds_the_face(rendered_target):
     target, gt_pose, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    res = coarse_register(ref.cloud, target, with_seed(RegistrationParams(), scene_seed))
+    res = coarse_register(ref.cloud, target, RegistrationParams(seed=scene_seed))
     assert symmetric_rot_err_deg(res.pose.r, gt_pose.r) <= 3.3
     assert np.linalg.norm(res.pose.t - gt_pose.t) * 1000.0 <= 5.3
     assert res.score >= 0.5
@@ -207,7 +194,7 @@ def test_coarse_register_finds_the_face(rendered_target):
 def test_coarse_register_deterministic(rendered_target):
     target, _, _ = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    params = with_seed(RegistrationParams(), 123)
+    params = RegistrationParams(seed=123)
     a = coarse_register(ref.cloud, target, params)
     b = coarse_register(ref.cloud, target, params)
     assert_allclose(a.pose.matrix, b.pose.matrix, atol=0.0)
@@ -217,7 +204,7 @@ def test_coarse_register_deterministic(rendered_target):
 def test_coarse_register_pose_orthonormal(rendered_target):
     target, _, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    res = coarse_register(ref.cloud, target, with_seed(RegistrationParams(), scene_seed))
+    res = coarse_register(ref.cloud, target, RegistrationParams(seed=scene_seed))
     assert_allclose(res.pose.r.T @ res.pose.r, np.eye(3), atol=1e-9)
     assert np.linalg.det(res.pose.r) == pytest.approx(1.0, abs=1e-9)
 
@@ -234,11 +221,3 @@ def test_coarse_register_needs_points():
     ref = make_reference_face(FACE, 0.006)
     with pytest.raises(ValueError):
         coarse_register(ref.cloud, PointCloud(np.zeros((10, 3))), RegistrationParams())
-
-
-def test_with_seed_copies():
-    params = RegistrationParams()
-    other = with_seed(params, 99)
-    assert other.seed == 99
-    assert params.seed == 0
-    assert other.eps == params.eps
