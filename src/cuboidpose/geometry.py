@@ -165,9 +165,11 @@ def fit_obb(cloud: PointCloud) -> Obb:
         j = int(np.argmax(np.abs(axes[i])))
         if axes[i, j] < 0:
             axes[i] = -axes[i]
-    proj = centered @ axes.T
-    lo = proj.min(axis=0)
-    hi = proj.max(axis=0)
+    # one contiguous row per axis: reducing rows is several times faster than
+    # reducing the columns of the (n, 3) product, and min/max are exact
+    proj = (centered @ axes.T).T.copy()
+    lo = proj.min(axis=1)
+    hi = proj.max(axis=1)
     center = mean + axes.T @ ((lo + hi) / 2.0)
     return Obb(center, axes, (hi - lo) / 2.0)
 

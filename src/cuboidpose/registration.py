@@ -4,15 +4,19 @@ classic point-to-point ICP refiner used as the timing baseline.
 The coarse stage samples a wide, nearly coplanar 4-point base from the source,
 computes the affine-invariant intersection ratios of its two segments, and
 looks for congruent 4-point sets in the target among point pairs with matching
-segment lengths. Each candidate yields a rigid fit whose quality is scored by
-the fraction of source points landing within an inlier distance of the target
-(LCP score). The best-scoring pose wins.
+segment lengths. Those pairs are read from one pair-distance table, built once
+per registration on the target's capped search cloud (at most
+`search_points` points, so the table's n^2/2 rows stay bounded): each base's
+annulus is a mask over the table's distances. Each candidate yields a rigid
+fit whose quality is scored by the fraction of source points landing within an
+inlier distance of the target (LCP score). The best-scoring pose wins.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,6 +24,10 @@ from scipy.spatial import cKDTree
 from .errors import NoCorrespondences, RegistrationFailed
 from .filters import voxel_downsample
 from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize, rotation_z
+
+
+# congruent-set matches gathered per base before the angle test (whole groups)
+_MAX_MATCH_ROWS = 50000
 
 
 @dataclass
@@ -51,23 +59,37 @@ class RegistrationResult:
     elapsed: float
 
 
-def pairs_in_range(cloud: PointCloud, r: float, eps: float) -> list[tuple[int, int]]:
-    """All index pairs (i < j) whose distance lies strictly inside
-    (r - eps, r + eps), found through a kd-tree rather than an n^2 scan."""
+def _pair_table(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every index pair i < j of `pts` in lexicographic order, with its
+    distance. The squares are summed x, y, z left to right before the root,
+    which is how `np.linalg.norm(pts[i] - pts[j], axis=1)` rounds."""
+    i, j = np.triu_indices(len(pts), k=1)
+    d = np.zeros(len(i))
+    for axis in range(3):
+        coord = pts[:, axis].copy()
+        delta = coord[i] - coord[j]
+        delta *= delta
+        d += delta
+    np.sqrt(d, out=d)
+    return i, j, d
+
+
+def _annulus(table, r: float, eps: float) -> np.ndarray:
+    """(m, 2) index pairs of `table` whose distance lies strictly inside
+    (r - eps, r + eps), in the table's lexicographic order."""
     if r <= 0 or eps <= 0 or eps >= r:
         raise ValueError("need 0 < eps < r")
-    pts = cloud.points
-    if len(pts) < 2:
-        return []
-    tree = cKDTree(pts)
-    candidates = tree.query_pairs(r + eps * 1.0000001 + 1e-12, output_type="ndarray")
-    if len(candidates) == 0:
-        return []
-    d = np.linalg.norm(pts[candidates[:, 0]] - pts[candidates[:, 1]], axis=1)
-    keep = (d > r - eps) & (d < r + eps)
-    kept = candidates[keep]
-    order = np.lexsort((kept[:, 1], kept[:, 0]))
-    return [(int(i), int(j)) for i, j in kept[order]]
+    i, j, d = table
+    sel = np.flatnonzero((d > r - eps) & (d < r + eps))
+    return np.column_stack((i[sel], j[sel]))
+
+
+def pairs_in_range(cloud: PointCloud, r: float, eps: float) -> list[tuple[int, int]]:
+    """All index pairs (i < j) whose distance lies strictly inside
+    (r - eps, r + eps), sorted, read from the pair-distance table that the
+    coarse search builds once per registration. The table holds all n^2/2
+    pairs, so this is meant for clouds of a few thousand points."""
+    return [tuple(p) for p in _annulus(_pair_table(cloud.points), r, eps).tolist()]
 
 
 def kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
@@ -139,10 +161,10 @@ def _sample_base(pts, diag, rng, params, attempt):
 
 
 def _pair_endpoints(pts, pairs):
-    """Both orientations of every pair: start points, direction vectors."""
-    arr = np.asarray(pairs, dtype=np.int64)
-    starts = np.concatenate([arr[:, 0], arr[:, 1]])
-    ends = np.concatenate([arr[:, 1], arr[:, 0]])
+    """Both orientations of every (m, 2) index pair: start and end indices,
+    start points, direction vectors."""
+    starts = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    ends = np.concatenate([pairs[:, 1], pairs[:, 0]])
     p = pts[starts]
     q = pts[ends]
     return starts, ends, p, q - p
@@ -150,38 +172,40 @@ def _pair_endpoints(pts, pairs):
 
 def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg, params):
     """Target 4-point sets whose segments reproduce the base's intersection
-    ratios and crossing angle, ordered best match first."""
+    ratios and crossing angle, as a (k, 4) index array, best match first.
+
+    Matches are taken group by group over the second base's midpoints; the
+    group that takes the count past _MAX_MATCH_ROWS is the last one kept."""
+    none = np.empty((0, 4), dtype=np.int64)
     s1, e1, p1, d1 = _pair_endpoints(pts, pairs1)
     s2, e2, p2, d2 = _pair_endpoints(pts, pairs2)
     mid1 = p1 + r1 * d1
     mid2 = p2 + r2 * d2
     tree = cKDTree(mid1)
     groups = tree.query_ball_point(mid2, params.eps)
-    rows = []
-    for j, grp in enumerate(groups):
-        for i in grp:
-            rows.append((i, j))
-        if len(rows) > 50000:
-            break
-    if not rows:
-        return []
-    rows = np.asarray(rows, dtype=np.int64)
-    i1, i2 = rows[:, 0], rows[:, 1]
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    ends = np.cumsum(sizes)
+    n_groups = min(
+        int(np.searchsorted(ends, _MAX_MATCH_ROWS, side="right")) + 1, len(groups)
+    )
+    count = int(ends[n_groups - 1]) if n_groups else 0
+    if count == 0:
+        return none
+    i1 = np.fromiter(chain.from_iterable(groups[:n_groups]), dtype=np.int64, count=count)
+    i2 = np.repeat(np.arange(n_groups), sizes[:n_groups])
     u1 = d1[i1] / np.linalg.norm(d1[i1], axis=1, keepdims=True)
     u2 = d2[i2] / np.linalg.norm(d2[i2], axis=1, keepdims=True)
     ang = np.degrees(np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0)))
     ang_err = np.abs(ang - alpha_deg)
     keep = ang_err <= params.angle_tol_deg
     if not np.any(keep):
-        return []
+        return none
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
     badness = e_dist / params.eps + ang_err / params.angle_tol_deg
     order = np.argsort(badness, kind="stable")[: params.max_candidates]
-    return [
-        (int(s1[a]), int(e1[a]), int(s2[b]), int(e2[b]))
-        for a, b in zip(i1[order], i2[order])
-    ]
+    a, b = i1[order], i2[order]
+    return np.column_stack((s1[a], e1[a], s2[b], e2[b]))
 
 
 def _box_snap(src_pts: np.ndarray, tgt_pts: np.ndarray, pose: Pose) -> Pose:
@@ -273,9 +297,8 @@ def coarse_register(
     rng = np.random.default_rng(params.seed)
     obb: Obb = fit_obb(source)
     diag = 2.0 * float(np.linalg.norm(obb.half_extents))
-    search = _search_cloud(target, params.search_points)
-    spts = search.points
-    search_tree = cKDTree(spts)
+    spts = _search_cloud(target, params.search_points).points
+    table = _pair_table(spts)
     target_tree = cKDTree(tgt)
     sample_idx = np.unique(
         np.linspace(0, len(src) - 1, min(params.lcp_sample, len(src))).astype(int)
@@ -297,11 +320,11 @@ def coarse_register(
         (ia, ib, ic, idd), r1, r2, alpha = base
         len1 = float(np.linalg.norm(src[ib] - src[ia]))
         len2 = float(np.linalg.norm(src[idd] - src[ic]))
-        pairs1 = pairs_in_range(search, len1, params.eps)
-        if not pairs1 or len(pairs1) > params.pair_cap:
+        pairs1 = _annulus(table, len1, params.eps)
+        if len(pairs1) == 0 or len(pairs1) > params.pair_cap:
             continue
-        pairs2 = pairs_in_range(search, len2, params.eps)
-        if not pairs2 or len(pairs2) > params.pair_cap:
+        pairs2 = _annulus(table, len2, params.eps)
+        if len(pairs2) == 0 or len(pairs2) > params.pair_cap:
             continue
         # a gridded target concentrates pair distances at a few lattice
         # values, flooding the annulus; one congruent hit is enough, so cap
@@ -309,15 +332,15 @@ def coarse_register(
         if len(pairs1) > params.pair_subsample:
             keep = rng.choice(len(pairs1), params.pair_subsample, replace=False)
             keep.sort()
-            pairs1 = [pairs1[i] for i in keep]
+            pairs1 = pairs1[keep]
         if len(pairs2) > params.pair_subsample:
             keep = rng.choice(len(pairs2), params.pair_subsample, replace=False)
             keep.sort()
-            pairs2 = [pairs2[i] for i in keep]
+            pairs2 = pairs2[keep]
         cands = _congruent_candidates(spts, pairs1, pairs2, r1, r2, alpha, params)
         base_pts = src[[ia, ib, ic, idd]]
-        for u1, v1, u2, v2 in cands:
-            cand_pts = spts[[u1, v1, u2, v2]]
+        for quad in cands:
+            cand_pts = spts[quad]
             pose = kabsch(base_pts, cand_pts)
             rmsd = float(
                 np.sqrt(np.mean(np.sum((pose.transform(base_pts) - cand_pts) ** 2, axis=1)))

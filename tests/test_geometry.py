@@ -109,6 +109,39 @@ def test_obb_extents_rigid_invariant():
         assert_allclose(moved, base, atol=1e-6)
 
 
+def _obb_by_columns(pts):
+    """fit_obb with its min/max taken over the columns of the (n, 3)
+    projection, the plain formula kept here as the oracle."""
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    evals, evecs = np.linalg.eigh(centered.T @ centered / len(pts))
+    order = np.argsort(-evals, kind="stable")
+    axes = evecs[:, order].T
+    for i in range(3):
+        j = int(np.argmax(np.abs(axes[i])))
+        if axes[i, j] < 0:
+            axes[i] = -axes[i]
+    proj = centered @ axes.T
+    lo = proj.min(axis=0)
+    hi = proj.max(axis=0)
+    return mean + axes.T @ ((lo + hi) / 2.0), axes, (hi - lo) / 2.0
+
+
+@pytest.mark.parametrize("n", [3, 17, 500, 52_000])
+def test_obb_bitwise_equal_to_column_formula(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        pose = random_pose(rng)
+        pts = pose.transform(
+            rng.normal(size=(n, 3)) * np.array([0.3, 0.2, 0.01]) + rng.uniform(-2, 2, 3)
+        )
+        obb = fit_obb(PointCloud(pts))
+        center, axes, half = _obb_by_columns(pts)
+        assert np.array_equal(obb.center, center)
+        assert np.array_equal(obb.axes, axes)
+        assert np.array_equal(obb.half_extents, half)
+
+
 def test_obb_collinear_raises():
     line = np.outer(np.linspace(0.0, 1.0, 10), [1.0, 2.0, 0.5])
     with pytest.raises(DegenerateCloud):

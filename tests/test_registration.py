@@ -19,7 +19,12 @@ from cuboidpose.camera import deproject_mask
 from cuboidpose.correction import CuboidSpec
 from cuboidpose.errors import RegistrationFailed
 from cuboidpose.geometry import rotation_about, rotation_angle, rotation_z
-from cuboidpose.registration import RegistrationParams
+from cuboidpose.registration import (
+    RegistrationParams,
+    _annulus,
+    _congruent_candidates,
+    _pair_table,
+)
 from cuboidpose.synth import inject_pose_error, render_scene
 from conftest import symmetric_rot_err_deg
 
@@ -65,6 +70,137 @@ def test_pairs_in_range_bad_tolerance():
         pairs_in_range(cloud, 0.1, 0.0)
     with pytest.raises(ValueError):
         pairs_in_range(cloud, -1.0, 0.01)
+
+
+def test_pairs_in_range_tiny_clouds():
+    assert pairs_in_range(PointCloud(np.empty((0, 3))), 0.5, 0.1) == []
+    assert pairs_in_range(PointCloud(np.zeros((1, 3))), 0.5, 0.1) == []
+    two = PointCloud(np.array([[0.0, 0.0, 0.0], [0.3, 0.4, 0.0]]))
+    assert pairs_in_range(two, 0.5, 0.1) == [(0, 1)]
+    assert pairs_in_range(two, 1.0, 0.1) == []
+    for n in (0, 1, 2):
+        i, j, d = _pair_table(np.zeros((n, 3)))
+        assert len(i) == len(j) == len(d) == n * (n - 1) // 2
+
+
+def test_pairs_at_the_annulus_bounds_are_excluded():
+    """r - eps = 0.25 and r + eps = 0.75 are exact, and so are the distances
+    along x; the interval is open at both ends."""
+    xs = [0.0, 0.25, 0.75, 0.5, np.nextafter(0.75, 0.0)]
+    cloud = PointCloud(np.column_stack([xs, np.zeros(5), np.zeros(5)]))
+    got = pairs_in_range(cloud, 0.5, 0.25)
+    # 0.25 apart: (0,1), (1,3), (2,3); 0.75 apart: (0,2)
+    assert not {(0, 1), (1, 3), (2, 3), (0, 2)} & set(got)
+    assert got == [(0, 3), (0, 4), (1, 2), (1, 4)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_table_matches_norm_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    pts = rng.normal(size=(n, 3)) * scale + rng.uniform(-5, 5, 3) * scale
+    i, j, d = _pair_table(pts)
+    iu, ju = np.triu_indices(n, k=1)
+    assert np.array_equal(i, iu) and np.array_equal(j, ju)
+    assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
+    r = float(np.median(d))
+    pairs = _annulus((i, j, d), r, r / 10.0)
+    assert pairs.shape[1] == 2 and len(pairs) > 0
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    assert np.array_equal(order, np.arange(len(pairs)))
+    assert np.all(pairs[:, 0] < pairs[:, 1])
+
+
+def _candidates_by_rows(pts, pairs1, pairs2, r1, r2, alpha_deg, params, cut=50000):
+    """Row-loop form of the congruent-set match, kept here as the oracle: the
+    matches of each midpoint group are appended in order, stopping after the
+    group that takes the count past `cut`."""
+
+    def endpoints(pairs):
+        starts = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        ends = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        return starts, ends, pts[starts], pts[ends] - pts[starts]
+
+    s1, e1, p1, d1 = endpoints(pairs1)
+    s2, e2, p2, d2 = endpoints(pairs2)
+    mid1 = p1 + r1 * d1
+    mid2 = p2 + r2 * d2
+    groups = cKDTree(mid1).query_ball_point(mid2, params.eps)
+    rows = []
+    for j, grp in enumerate(groups):
+        for i in grp:
+            rows.append((i, j))
+        if len(rows) > cut:
+            break
+    if not rows:
+        return []
+    rows = np.asarray(rows, dtype=np.int64)
+    i1, i2 = rows[:, 0], rows[:, 1]
+    u1 = d1[i1] / np.linalg.norm(d1[i1], axis=1, keepdims=True)
+    u2 = d2[i2] / np.linalg.norm(d2[i2], axis=1, keepdims=True)
+    ang = np.degrees(np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0)))
+    ang_err = np.abs(ang - alpha_deg)
+    keep = ang_err <= params.angle_tol_deg
+    i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
+    e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
+    badness = e_dist / params.eps + ang_err / params.angle_tol_deg
+    order = np.argsort(badness, kind="stable")[: params.max_candidates]
+    return [
+        (int(s1[a]), int(e1[a]), int(s2[b]), int(e2[b]))
+        for a, b in zip(i1[order], i2[order])
+    ]
+
+
+def _crossed_segments(rng, m1, m2, eps):
+    """Segments along x (first m1) and along y (next m2) with midpoints
+    scattered about eps around the origin, so the midpoint groups have uneven
+    sizes; returns points and both (m, 2) pair arrays."""
+    ends = []
+    for axis, m in ((0, m1), (1, m2)):
+        mids = rng.normal(scale=0.5 * eps, size=(m, 3))
+        half = np.zeros(3)
+        half[axis] = rng.uniform(0.05, 0.1)
+        ends.append(np.stack([mids - half, mids + half], axis=1))
+    pts = np.concatenate([e.reshape(-1, 3) for e in ends])
+    pairs = np.arange(2 * (m1 + m2)).reshape(-1, 2)
+    return pts, pairs[:m1], pairs[m1:]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_congruent_candidates_match_row_loop(seed):
+    """The vectorised match equals the row loop, including which midpoint
+    group is the last one taken when the matches cross the 50 000-row cut.
+    Every match passes the angle test and max_candidates keeps all of them,
+    so one group more or less changes the result."""
+    rng = np.random.default_rng(seed)
+    params = RegistrationParams(max_candidates=10**6)
+    pts, pairs1, pairs2 = _crossed_segments(rng, 400, 160, params.eps)
+    args = (pts, pairs1, pairs2, 0.5, 0.5, 90.0, params)
+    want = _candidates_by_rows(*args)
+    uncut = _candidates_by_rows(*args, cut=10**9)
+    assert 50000 < len(want) < len(uncut)
+    got = _congruent_candidates(*args)
+    assert got.shape == (len(want), 4)
+    assert got.tolist() == [list(row) for row in want]
+    # and below the cut: a short input is taken whole
+    few = (pts, pairs1[:20], pairs2[:20], 0.5, 0.5, 90.0, params)
+    assert _congruent_candidates(*few).tolist() == [
+        list(row) for row in _candidates_by_rows(*few)
+    ]
+
+
+def test_congruent_candidates_none():
+    params = RegistrationParams()
+    rng = np.random.default_rng(5)
+    pts, pairs1, pairs2 = _crossed_segments(rng, 10, 10, params.eps)
+    far = pts.copy()
+    far[20:] += 1.0  # the y segments' midpoints move away from the x ones
+    got = _congruent_candidates(far, pairs1, pairs2, 0.5, 0.5, 90.0, params)
+    assert got.shape == (0, 4)
+    # close midpoints but the wrong crossing angle
+    got = _congruent_candidates(pts, pairs1, pairs2, 0.5, 0.5, 30.0, params)
+    assert got.shape == (0, 4)
 
 
 # ---------------------------------------------------------------- rigid fit
