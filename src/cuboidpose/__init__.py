@@ -20,7 +20,6 @@ from .camera import (
     CameraIntrinsics,
     DepthImage,
     MaskImage,
-    deproject_all,
     deproject_mask,
     inverse_project,
     project,
@@ -39,7 +38,6 @@ from .correction import (
 from .errors import CuboidPoseError, PipelineError
 from .filters import (
     estimate_normals,
-    passthrough,
     statistical_outlier_removal,
     voxel_downsample,
 )
@@ -67,7 +65,6 @@ from .segmentation import (
     HsvRange,
     Quadrilateral2D,
     RoiSpec,
-    axis_points_from_cloud,
     fit_quadrilateral,
     hsv_threshold,
     region_growing,
@@ -110,11 +107,9 @@ __all__ = [
     "SceneSpec",
     "TrialRecord",
     "apply_transform",
-    "axis_points_from_cloud",
     "centroid",
     "coarse_register",
     "correct_pose",
-    "deproject_all",
     "deproject_mask",
     "estimate_normals",
     "estimate_translation_error",
@@ -128,7 +123,6 @@ __all__ = [
     "kabsch",
     "make_reference_face",
     "pairs_in_range",
-    "passthrough",
     "project",
     "reference_axis_points",
     "region_growing",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .camera import CameraIntrinsics, deproject_all, deproject_mask
+from .camera import CameraIntrinsics, deproject_mask
 from .correction import (
     CorrectionReport,
     CuboidSpec,
@@ -18,12 +18,7 @@ from .correction import (
     make_reference_face,
 )
 from .errors import CuboidPoseError, NoRoiMatch, ParseError, PipelineError
-from .filters import (
-    estimate_normals,
-    passthrough,
-    statistical_outlier_removal,
-    voxel_downsample,
-)
+from .filters import statistical_outlier_removal, voxel_downsample
 from .geometry import (
     Pose,
     orthonormalize,
@@ -37,10 +32,8 @@ from .segmentation import (
     HsvRange,
     Quadrilateral2D,
     RoiSpec,
-    axis_points_from_cloud,
     fit_quadrilateral,
     hsv_threshold,
-    region_growing,
     roi_filter,
     target_axis_points,
 )
@@ -81,7 +74,6 @@ class PipelineConfig:
     key=value spelling, and the `face_*_m` keys set `cuboid`."""
 
     cuboid: CuboidSpec = _DEFAULT_CUBOID
-    mode: str = "color"  # "color": outline route; "geometry": region growing
     hsv_h_lo: float = _DEFAULT_HSV.h_lo
     hsv_h_hi: float = _DEFAULT_HSV.h_hi
     hsv_s_lo: float = _DEFAULT_HSV.s_lo
@@ -93,9 +85,6 @@ class PipelineConfig:
     use_sor: bool = True
     sor_k: int = 50
     sor_stddev_mult: float = 1.0
-    normal_radius_m: float = 0.015
-    z_near_m: float = 0.3
-    z_far_m: float = 3.0
     roi_tolerance: float = 0.15
     pitch_m: float = 0.006
     reg_eps_m: float = RegistrationParams.eps
@@ -107,8 +96,6 @@ class PipelineConfig:
     registration: RegistrationParams = field(init=False)
 
     def __post_init__(self):
-        if self.mode not in ("color", "geometry"):
-            raise ValueError(f"unknown pipeline mode {self.mode!r}")
         if self.voxel_leaf_m <= 0:
             raise ValueError("voxel_leaf_m must be positive")
         self.hsv = HsvRange(
@@ -144,7 +131,7 @@ class PipelineResult:
     report: CorrectionReport
     coarse_score: float
     segment_size: int
-    quad: Quadrilateral2D | None
+    quad: Quadrilateral2D
 
 
 @contextmanager
@@ -158,55 +145,36 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _thin(cloud, config: PipelineConfig):
-    """Voxel the cloud, then drop statistical outliers when `use_sor` is on."""
-    cloud = voxel_downsample(cloud, config.voxel_leaf_m)
-    if config.use_sor and len(cloud) > config.sor_k:
-        cloud = statistical_outlier_removal(cloud, config.sor_k, config.sor_stddev_mult)
-    return cloud
-
-
 def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
     """The front end: (face segment, axis points t1 and t2, outline quad).
 
-    Color mode thresholds the RGB image, sizes the face on the deprojected
-    mask, thins that cloud into the segment, and samples the axis points from
-    the outline quadrilateral. The ROI gate runs before voxelling because
-    where the noisy face crosses a voxel layer the centroids come in denser
-    stripes, which tilt the voxel cloud's PCA box by up to 10 degrees and
-    make a true face read too large. Geometry mode ignores color and segments
-    the cloud by region growing; it returns no quad.
+    Thresholds the RGB image, sizes the face on the deprojected mask, voxels
+    that cloud (then drops statistical outliers when `use_sor` is on) into
+    the segment, and samples the axis points from the outline quadrilateral.
+    The ROI gate runs before voxelling because where the noisy face crosses
+    a voxel layer the centroids come in denser stripes, which tilt the voxel
+    cloud's PCA box by up to 10 degrees and make a true face read too large.
     """
-    quad = None
-    if config.mode == "color":
-        with _stage("hsv_threshold"):
-            mask = hsv_threshold(rgb, config.hsv)
-            if mask.count() < config.min_mask_pixels:
-                raise NoRoiMatch(
-                    f"color mask has {mask.count()} pixels, "
-                    f"need {config.min_mask_pixels}"
-                )
-        with _stage("deproject"):
-            cloud = deproject_mask(intr, depth, mask)
-        with _stage("roi_filter"):
-            roi_filter([cloud], config.roi)
-        with _stage("filters"):
-            segment = _thin(cloud, config)
-        with _stage("t_points"):
-            quad = fit_quadrilateral(mask)
-            t1, t2 = target_axis_points(quad, intr, depth)
-    else:
-        with _stage("deproject"):
-            cloud = deproject_all(intr, depth)
-        with _stage("filters"):
-            cloud = passthrough(cloud, "z", config.z_near_m, config.z_far_m)
-            cloud = estimate_normals(_thin(cloud, config), config.normal_radius_m)
-        with _stage("region_growing"):
-            segments = [cloud.subset(idx) for idx in region_growing(cloud)]
-        with _stage("roi_filter"):
-            segment, _ = roi_filter(segments, config.roi)
-        with _stage("t_points"):
-            t1, t2 = axis_points_from_cloud(segment)
+    with _stage("hsv_threshold"):
+        mask = hsv_threshold(rgb, config.hsv)
+        if mask.count() < config.min_mask_pixels:
+            raise NoRoiMatch(
+                f"color mask has {mask.count()} pixels, "
+                f"need {config.min_mask_pixels}"
+            )
+    with _stage("deproject"):
+        cloud = deproject_mask(intr, depth, mask)
+    with _stage("roi_filter"):
+        roi_filter([cloud], config.roi)
+    with _stage("filters"):
+        segment = voxel_downsample(cloud, config.voxel_leaf_m)
+        if config.use_sor and len(segment) > config.sor_k:
+            segment = statistical_outlier_removal(
+                segment, config.sor_k, config.sor_stddev_mult
+            )
+    with _stage("t_points"):
+        quad = fit_quadrilateral(mask)
+        t1, t2 = target_axis_points(quad, intr, depth)
     return segment, t1, t2, quad
 
 

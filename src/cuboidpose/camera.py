@@ -133,12 +133,6 @@ def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -
     return PointCloud(back_project(intr, xs, ys, depth.data[ys, xs]))
 
 
-def deproject_all(intr: CameraIntrinsics, depth: DepthImage) -> PointCloud:
-    """Point cloud of every valid-depth pixel."""
-    full = MaskImage(np.full((intr.height, intr.width), 255, dtype=np.uint8))
-    return deproject_mask(intr, depth, full)
-
-
 def sample_depth_window(depth: DepthImage, pixel, window: int = 5) -> float:
     """Depth estimate around a pixel, robust to holes and sensor noise.
 

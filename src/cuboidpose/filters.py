@@ -1,5 +1,5 @@
-"""Point cloud conditioning: crop, voxel downsample, outlier removal and
-normal estimation."""
+"""Point cloud conditioning: voxel downsample, outlier removal and normal
+estimation."""
 
 from __future__ import annotations
 
@@ -9,25 +9,13 @@ from scipy.spatial import cKDTree
 from .errors import InsufficientNeighbors, TooFewPoints
 from .geometry import PointCloud
 
-_AXES = {"x": 0, "y": 1, "z": 2}
-
-
-def passthrough(cloud: PointCloud, axis: str, lo: float, hi: float) -> PointCloud:
-    """Keep points whose chosen coordinate lies in [lo, hi]; order preserved."""
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {sorted(_AXES)}, got {axis!r}")
-    if lo > hi:
-        raise ValueError("lower bound exceeds upper bound")
-    c = cloud.points[:, _AXES[axis]]
-    return cloud.subset((c >= lo) & (c <= hi))
-
 
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """One point per occupied voxel: the centroid of that voxel's members.
 
     The grid is anchored at the coordinate origin (cell index floor(p / leaf)).
-    Output order is lexicographic by voxel index. Normals are averaged and
-    renormalized, colors averaged, curvatures averaged.
+    Output order is lexicographic by voxel index. Only the points are kept:
+    normals, colors and curvatures of the input are dropped.
 
     Voxels are grouped by a lexsort of the integer cell indices, so the cells
     come out in that order without a combined linear key (which would overflow
@@ -49,28 +37,8 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.cumsum(starts) - 1
     counts = np.bincount(inv).astype(np.float64)
-
-    def bucket_sum(values):
-        return np.bincount(inv, weights=values, minlength=len(counts))
-
-    def bucket_mean(values):
-        sums = np.column_stack([bucket_sum(values[:, j]) for j in range(values.shape[1])])
-        return sums / counts[:, None]
-
-    pts = bucket_mean(cloud.points)
-    normals = None
-    if cloud.normals is not None:
-        normals = bucket_mean(cloud.normals)
-        norms = np.linalg.norm(normals, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        normals = normals / norms
-    colors = None
-    if cloud.colors is not None:
-        colors = np.clip(np.rint(bucket_mean(cloud.colors.astype(np.float64))), 0, 255)
-    curvatures = None
-    if cloud.curvatures is not None:
-        curvatures = bucket_sum(cloud.curvatures) / counts
-    return PointCloud(pts, normals, colors, curvatures)
+    sums = [np.bincount(inv, weights=cloud.points[:, j]) for j in range(3)]
+    return PointCloud(np.column_stack(sums) / counts[:, None])
 
 
 def statistical_outlier_removal(

@@ -130,9 +130,19 @@ class Obb:
 
 
 def apply_transform(pose: Pose, cloud: PointCloud) -> PointCloud:
-    """Transform every point (and rotate normals) into the pose's target frame."""
-    normals = None if cloud.normals is None else cloud.normals @ pose.r.T
-    return PointCloud(pose.transform(cloud.points), normals, cloud.colors, cloud.curvatures)
+    """Transform every point (and rotate normals) into the pose's target frame.
+
+    The products run in `np.einsum`, not in BLAS as `Pose.transform` does: on
+    a large cloud BLAS starts worker threads for a 3-wide product, and they
+    keep spinning after the call returns and slow the caller's next few
+    hundred microseconds (such as `correct_pose`'s timed estimate) by up to
+    5x on a 2-core host. The results agree with `Pose.transform` to rounding.
+    """
+    normals = None
+    if cloud.normals is not None:
+        normals = np.einsum("ij,kj->ik", cloud.normals, pose.r)
+    points = np.einsum("ij,kj->ik", cloud.points, pose.r) + pose.t
+    return PointCloud(points, normals, cloud.colors, cloud.curvatures)
 
 
 def centroid(cloud: PointCloud) -> np.ndarray:

@@ -18,13 +18,14 @@ from .camera import (
     sample_depth_window,
 )
 from .errors import (
+    DegenerateCloud,
     InvalidDepth,
     MissingNormals,
     NoComponent,
     NoRoiMatch,
     NotQuadrilateralLike,
 )
-from .geometry import Obb, PointCloud, centroid, fit_obb
+from .geometry import Obb, PointCloud, fit_obb
 
 # Depth for the axis endpoints is sampled slightly inside the outline so the
 # averaging window cannot straddle the face boundary. The symmetric shift of
@@ -358,16 +359,15 @@ def roi_filter(
     A segment is accepted when its two largest box extents match the expected
     width and height within the relative tolerance and its smallest extent
     does not exceed the expected depth. Among accepted segments the one with
-    the smallest Euclidean extent error wins.
+    the smallest Euclidean extent error wins. Segments with no box (fewer
+    than 3 points, or collinear: `DegenerateCloud`) are skipped.
     """
     best = None
     best_err = np.inf
     for seg in segments:
-        if len(seg) < 3:
-            continue
         try:
             obb = fit_obb(seg)
-        except Exception:
+        except DegenerateCloud:
             continue
         dims = 2.0 * obb.half_extents
         if abs(dims[0] - spec.width) > spec.tolerance * spec.width:
@@ -429,19 +429,3 @@ def target_axis_points(
     if (mids[1][0], mids[1][1]) < (mids[0][0], mids[0][1]):
         first = 1
     return pts[first], pts[1 - first]
-
-
-def axis_points_from_cloud(segment: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Axis endpoints from the segment's bounding box, for scenes without a
-    color mask: centroid +- half of the major half-extent along the major axis.
-
-    The first point has the smaller viewing-direction-normalized x, matching
-    the image-x ordering used by the outline route.
-    """
-    c = centroid(segment)
-    obb = fit_obb(segment)
-    offset = obb.axes[0] * (obb.half_extents[0] / 2.0)
-    a, b = c - offset, c + offset
-    if (a[0] / a[2], a[1] / a[2]) <= (b[0] / b[2], b[1] / b[2]):
-        return a, b
-    return b, a

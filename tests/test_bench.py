@@ -156,12 +156,12 @@ def test_bench_config_validation():
 
 
 def test_pipeline_config_from_kv():
-    config = PipelineConfig.from_kv({"voxel_leaf_m": "0.004", "mode": "geometry"})
+    config = PipelineConfig.from_kv({"voxel_leaf_m": "0.004", "use_sor": "0"})
     assert config.voxel_leaf_m == 0.004
-    assert config.mode == "geometry"
+    assert config.use_sor is False
     defaults = PipelineConfig.from_kv({})
     assert defaults.voxel_leaf_m == 0.005
-    assert defaults.mode == "color"
+    assert defaults.use_sor is True
     assert defaults.min_mask_pixels == 100
 
 
@@ -175,7 +175,6 @@ PIPELINE_KV = {
     "face_width_m": "0.4",
     "face_height_m": "0.25",
     "face_depth_m": "0.06",
-    "mode": "geometry",
     "hsv_h_lo": "350",
     "hsv_h_hi": "10",
     "hsv_s_lo": "0.5",
@@ -187,9 +186,6 @@ PIPELINE_KV = {
     "use_sor": "0",
     "sor_k": "30",
     "sor_stddev_mult": "2",
-    "normal_radius_m": "0.02",
-    "z_near_m": "0.4",
-    "z_far_m": "2.5",
     "roi_tolerance": "0.2",
     "pitch_m": "0.005",
     "reg_eps_m": "0.003",
@@ -212,7 +208,7 @@ def test_pipeline_config_key_set():
     default = PipelineConfig()
     for key, raw in PIPELINE_KV.items():
         config = PipelineConfig.from_kv({key: raw})
-        want = {"mode": "geometry", "use_sor": False}.get(key)
+        want = {"use_sor": False}.get(key)
         want = float(raw) if want is None else want
         assert _pipeline_value(config, key) == want, key
         assert _pipeline_value(default, key) != want, key
@@ -232,6 +228,9 @@ def test_pipeline_config_key_set():
         {"mode": "bogus"},
         {"voxel_leaf_m": "0"},
         {"roi_tolerance": "0.6"},
+        # keys of the removed geometry front end
+        {"mode": "color"},
+        {"z_far_m": "2"},
     ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):

@@ -6,7 +6,6 @@ from cuboidpose import (
     CameraIntrinsics,
     DepthImage,
     MaskImage,
-    deproject_all,
     deproject_mask,
     fit_obb,
     inverse_project,
@@ -136,13 +135,6 @@ def test_deprojected_face_matches_dimensions(frontal):
     assert abs(obb.half_extents[0] - 0.15) < px
     assert abs(obb.half_extents[1] - 0.10) < px
     assert obb.half_extents[2] < 1e-6
-
-
-def test_deproject_all(intr640):
-    depth = DepthImage(np.ones((480, 640)))
-    depth.data[0, :] = 0.0
-    cloud = deproject_all(intr640, depth)
-    assert len(cloud) == 480 * 640 - 640
 
 
 def test_sample_depth_window_plain():

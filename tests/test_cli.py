@@ -55,12 +55,15 @@ def test_pipeline_on_synth_scene(tmp_path, capsys):
     assert float(kv["coarse_score"]) >= 0.5
 
 
-def test_pipeline_unknown_config_key(tmp_path):
+def test_pipeline_unknown_config_key(tmp_path, capsys):
     scene = tmp_path / "scene"
     assert main(["synth", "--out", str(scene)]) == 0
     conf = tmp_path / "pipe.conf"
-    conf.write_text("voxel=0.005\n")
-    assert main(["pipeline", str(scene), "--config", str(conf)]) == 2
+    # `mode` belonged to the removed geometry front end
+    for line, key in (("voxel=0.005", "voxel"), ("mode=geometry", "mode")):
+        conf.write_text(line + "\n")
+        assert main(["pipeline", str(scene), "--config", str(conf)]) == 2
+        assert f"unknown pipeline config key {key!r}" in capsys.readouterr().err
 
 
 def test_pipeline_missing_scene_dir(tmp_path):

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from cuboidpose import (
     PointCloud,
     estimate_normals,
-    passthrough,
     statistical_outlier_removal,
     voxel_downsample,
 )
@@ -15,45 +14,6 @@ from cuboidpose.errors import InsufficientNeighbors, TooFewPoints
 def plane_grid(w=0.2, h=0.15, step=0.004, z=1.0):
     gx, gy = np.meshgrid(np.arange(0, w, step), np.arange(0, h, step))
     return np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)])
-
-
-# ---------------------------------------------------------------- passthrough
-
-def test_passthrough_keeps_in_range():
-    cloud = PointCloud(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]]))
-    out = passthrough(cloud, "z", 0.0, 2.0)
-    assert len(out) == 1
-    assert out.points[0, 2] == 1.0
-
-
-def test_passthrough_empty_range():
-    cloud = PointCloud(np.array([[0.0, 0.0, 1.0]]))
-    assert len(passthrough(cloud, "z", 5.0, 6.0)) == 0
-
-
-def test_passthrough_separates_planes():
-    table = plane_grid(z=1.2)
-    floor = plane_grid(z=2.0)
-    cloud = PointCloud(np.vstack([table, floor]))
-    out = passthrough(cloud, "z", 0.0, 1.5)
-    assert len(out) == len(table)
-    assert out.points[:, 2].max() <= 1.5
-
-
-def test_passthrough_preserves_order():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(size=(100, 3))
-    out = passthrough(PointCloud(pts), "x", 0.2, 0.8)
-    expect = pts[(pts[:, 0] >= 0.2) & (pts[:, 0] <= 0.8)]
-    assert_allclose(out.points, expect)
-
-
-def test_passthrough_bad_arguments():
-    cloud = PointCloud(np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        passthrough(cloud, "w", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        passthrough(cloud, "z", 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- voxel grid
@@ -98,17 +58,12 @@ def voxel_oracle(cloud, leaf):
     for i, p in enumerate(cloud.points):
         buckets.setdefault(tuple(int(k) for k in np.floor(p / leaf)), []).append(i)
     keys = sorted(buckets)
-    members = [buckets[k] for k in keys]
-    mean = lambda a: np.array([a[m].mean(axis=0) for m in members])  # noqa: E731
-    normals = mean(cloud.normals)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    colors = np.rint(mean(cloud.colors.astype(np.float64)))
-    return keys, mean(cloud.points), normals, colors, mean(cloud.curvatures)
+    return keys, np.array([cloud.points[buckets[k]].mean(axis=0) for k in keys])
 
 
 def attached_cloud(rng, pts):
     n = len(pts)
-    normals = rng.normal(size=(n, 3)) + [0.0, 0.0, -3.0]  # no voxel averages to zero
+    normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(pts, normals, rng.integers(0, 256, (n, 3)), rng.uniform(0, 0.1, n))
 
@@ -121,20 +76,18 @@ def attached_cloud(rng, pts):
     ],
 )
 def test_voxel_order_and_attachments(spread, leaf):
-    """Output rows follow lexicographic voxel order and carry averaged
-    normals (renormalized), colors and curvatures."""
+    """Output rows follow lexicographic voxel order; the input's normals,
+    colors and curvatures are not carried over."""
     rng = np.random.default_rng(5)
     centers = rng.uniform(-spread, spread, size=(300, 3))
     pts = np.repeat(centers, 4, axis=0) + rng.uniform(-2 * leaf, 2 * leaf, size=(1200, 3))
     cloud = attached_cloud(rng, pts[rng.permutation(len(pts))])
     out = voxel_downsample(cloud, leaf)
-    keys, points, normals, colors, curvatures = voxel_oracle(cloud, leaf)
+    keys, points = voxel_oracle(cloud, leaf)
     assert len(out) == len(keys)
     assert (np.asarray(keys) < 0).any()
     assert_allclose(out.points, points, rtol=1e-12, atol=1e-9 * leaf)
-    assert_allclose(out.normals, normals, rtol=0, atol=1e-12)
-    assert np.array_equal(out.colors, colors)
-    assert_allclose(out.curvatures, curvatures, rtol=1e-12, atol=0)
+    assert out.normals is None and out.colors is None and out.curvatures is None
 
 
 def test_voxel_bad_leaf():

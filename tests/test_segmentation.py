@@ -14,8 +14,6 @@ from cuboidpose import (
     MaskImage,
     PointCloud,
     RoiSpec,
-    axis_points_from_cloud,
-    centroid,
     deproject_mask,
     estimate_normals,
     fit_obb,
@@ -373,8 +371,24 @@ def test_roi_prefers_correct_over_scaled():
     rng = np.random.default_rng(21)
     right = face_patch(rng, 0.30, 0.20)
     double = face_patch(rng, 0.60, 0.40)
-    picked, _ = roi_filter([double, right], RoiSpec(0.30, 0.20, 0.05))
+    # too few points or collinear: no box, so skipped rather than an error
+    pair = PointCloud(np.array([[0.0, 0.0, 1.0], [0.3, 0.0, 1.0]]))
+    line = PointCloud(np.column_stack([np.linspace(-0.15, 0.15, 50), np.zeros(50), np.ones(50)]))
+    picked, _ = roi_filter([double, pair, line, right], RoiSpec(0.30, 0.20, 0.05))
     assert picked is right
+
+
+def test_roi_does_not_swallow_other_errors(monkeypatch):
+    """Only a degenerate box is skipped; any other failure is not turned
+    into NoRoiMatch."""
+
+    def broken(cloud):
+        raise TypeError("not a degenerate cloud")
+
+    monkeypatch.setattr(segmentation, "fit_obb", broken)
+    seg = face_patch(np.random.default_rng(23), 0.30, 0.20)
+    with pytest.raises(TypeError):
+        roi_filter([seg], RoiSpec(0.30, 0.20, 0.05))
 
 
 def test_roi_rejects_everything():
@@ -457,12 +471,3 @@ def test_axis_points_no_depth_at_all(frontal):
     quad = fit_quadrilateral(frontal.gt.face_mask)
     with pytest.raises(InvalidDepth):
         target_axis_points(quad, frontal.intr, DepthImage(np.zeros((480, 640))))
-
-
-def test_axis_points_from_cloud(frontal):
-    cloud = deproject_mask(frontal.intr, frontal.depth, frontal.gt.face_mask)
-    a, b = axis_points_from_cloud(cloud)
-    c = centroid(cloud)
-    assert_allclose((a + b) / 2.0, c, atol=1e-9)
-    assert np.linalg.norm(b - a) == pytest.approx(0.15, abs=0.005)
-    assert a[0] < b[0]
