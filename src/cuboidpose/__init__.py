@@ -46,7 +46,6 @@ from .geometry import (
     PointCloud,
     Pose,
     apply_transform,
-    centroid,
     fit_obb,
     rotation_about,
     rotation_angle,
@@ -107,7 +106,6 @@ __all__ = [
     "SceneSpec",
     "TrialRecord",
     "apply_transform",
-    "centroid",
     "coarse_register",
     "correct_pose",
     "deproject_mask",

@@ -13,10 +13,6 @@ class CuboidPoseError(Exception):
 
 # geometry
 
-class EmptyCloud(CuboidPoseError):
-    """An operation received a point cloud with no points."""
-
-
 class DegenerateCloud(CuboidPoseError):
     """Point cloud has too little spatial extent for the requested fit."""
 

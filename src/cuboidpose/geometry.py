@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, DegenerateDirection, EmptyCloud
+from .errors import DegenerateCloud, DegenerateDirection
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -143,12 +143,6 @@ def apply_transform(pose: Pose, cloud: PointCloud) -> PointCloud:
         normals = np.einsum("ij,kj->ik", cloud.normals, pose.r)
     points = np.einsum("ij,kj->ik", cloud.points, pose.r) + pose.t
     return PointCloud(points, normals, cloud.colors, cloud.curvatures)
-
-
-def centroid(cloud: PointCloud) -> np.ndarray:
-    if len(cloud) == 0:
-        raise EmptyCloud("centroid of empty cloud")
-    return cloud.points.mean(axis=0)
 
 
 def fit_obb(cloud: PointCloud) -> Obb:

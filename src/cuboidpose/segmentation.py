@@ -93,11 +93,18 @@ class Quadrilateral2D:
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hexcone HSV from an (h, w, 3) uint8 image: h in degrees, s and v in [0, 1]."""
-    f = rgb.astype(np.float64) / 255.0
-    r, g, b = f[..., 0], f[..., 1], f[..., 2]
-    v = f.max(axis=-1)
-    c = v - f.min(axis=-1)
+    """Hexcone HSV from a (..., 3) uint8 array, such as an (h, w, 3) image or
+    (n, 3) pixels: h in degrees, s and v in [0, 1], each of shape `rgb.shape[:-1]`.
+
+    Each channel is scaled to [0, 1] into its own contiguous array, and v and
+    the chroma come from elementwise `np.maximum`/`np.minimum` over the three
+    channels, which are exact, rather than a reduction over the colour axis.
+    When two channels tie for the maximum, red takes precedence over green and
+    green over blue.
+    """
+    r, g, b = (np.divide(rgb[..., i], 255.0, dtype=np.float64) for i in range(3))
+    v = np.maximum(np.maximum(r, g), b)
+    c = v - np.minimum(np.minimum(r, g), b)
     h = np.zeros_like(v)
     nz = c > 0
     rmax = nz & (v == r)
@@ -118,14 +125,15 @@ def hsv_threshold(rgb: np.ndarray, rng: HsvRange) -> MaskImage:
     all equal has s = 0. Those candidates are found with integer max/min over
     the channels, and `rgb_to_hsv` runs on them alone. Each pixel still goes
     through the same float64 formula, so the mask is exactly that of
-    converting the whole frame; only gray pixels skip it.
+    converting the whole frame; only gray pixels skip it. The candidates are
+    cut from the flattened pixel axis with `np.compress`.
     """
     if rng.s_lo > 0:
         r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
         candidate = np.maximum(np.maximum(r, g), b) != np.minimum(np.minimum(r, g), b)
     else:
         candidate = np.ones(rgb.shape[:2], dtype=bool)
-    h, s, v = rgb_to_hsv(rgb[candidate])
+    h, s, v = rgb_to_hsv(np.compress(candidate.ravel(), rgb.reshape(-1, 3), axis=0))
     if rng.h_lo <= rng.h_hi:
         hue_ok = (h >= rng.h_lo) & (h <= rng.h_hi)
     else:

@@ -4,6 +4,12 @@ Rendering is analytic ray casting: each pixel ray is intersected with the
 face plane and with any constant-depth background planes, with a z-buffer
 deciding visibility. Depth noise is applied along the viewing ray, then
 quantized to whole millimeters exactly as a 16-bit sensor would report it.
+
+Full-frame work runs on the pixel axis: colours are painted one channel at a
+time and the cloud is cut from the flattened frame with `np.compress`, so no
+step broadcasts, masks or gathers over the 3-wide colour axis. The labeled
+cloud is read only by the benchmark tracer and the tests; the pipeline uses
+the rgb, depth and mask images.
 """
 
 from __future__ import annotations
@@ -79,11 +85,27 @@ def _local_corners(cub: CuboidSpec) -> np.ndarray:
     )
 
 
+def _paint(rgb: np.ndarray, color, where: np.ndarray | None = None) -> None:
+    """Write `color` into the (h, w, 3) image, everywhere or where `where`
+    holds, one channel at a time: per-channel writes avoid broadcasting a
+    colour tuple over the 3-wide channel axis."""
+    color = np.asarray(color, dtype=np.uint8).reshape(3)
+    for c in range(3):
+        if where is None:
+            rgb[..., c] = color[c]
+        else:
+            np.copyto(rgb[..., c], color[c], where=where)
+
+
 def render_scene(
     spec: SceneSpec,
 ) -> tuple[np.ndarray, DepthImage, MaskImage, PointCloud, GroundTruth]:
     """Render RGB, depth and face mask; deproject the full depth image into a
     labeled point cloud.
+
+    Colours are painted per channel and the cloud is compressed out of the
+    flattened frame in row-major pixel order. The cloud and its labels are
+    kept for the benchmark tracer and the tests; no pipeline stage reads them.
 
     Raises FaceOutOfView when less than half of the face projects into frame.
     """
@@ -93,13 +115,13 @@ def render_scene(
     depth = np.zeros((h, w))
     surface = np.full((h, w), -1, dtype=np.int8)
     rgb = np.empty((h, w, 3), dtype=np.uint8)
-    rgb[:] = spec.void_color
+    _paint(rgb, spec.void_color)
 
     for bp in spec.background:
         closer = (depth == 0) | (bp.depth < depth)
-        depth[closer] = bp.depth
-        surface[closer] = LABEL_BACKGROUND
-        np.copyto(rgb, np.array(bp.color, dtype=np.uint8), where=closer[..., None])
+        np.copyto(depth, bp.depth, where=closer)
+        np.copyto(surface, LABEL_BACKGROUND, where=closer)
+        _paint(rgb, bp.color, closer)
 
     pose = spec.gt_pose
     corners_cam = pose.transform(_local_corners(spec.cuboid))
@@ -148,9 +170,9 @@ def render_scene(
         )
         block = depth[y0 : y1 + 1, x0 : x1 + 1]
         wins = inside & ((block == 0) | (z < block))
-        block[wins] = z[wins]
-        surface[y0 : y1 + 1, x0 : x1 + 1][wins] = LABEL_FACE
-        rgb[y0 : y1 + 1, x0 : x1 + 1][wins] = spec.face_color
+        np.copyto(block, z, where=wins)
+        np.copyto(surface[y0 : y1 + 1, x0 : x1 + 1], LABEL_FACE, where=wins)
+        _paint(rgb[y0 : y1 + 1, x0 : x1 + 1], spec.face_color, wins)
         face_lx, face_ly, face_wins = lx, ly, wins
 
     face_mask = surface == LABEL_FACE
@@ -162,8 +184,11 @@ def render_scene(
 
     rng = np.random.default_rng(spec.seed)
     if spec.noise_sigma > 0:
-        noise = rng.standard_normal((h, w)) * spec.noise_sigma
-        depth = np.where(depth > 0, depth + noise, 0.0)
+        # depth is never negative here, so adding only where it is positive
+        # matches np.where(depth > 0, depth + noise, 0.0) bit for bit
+        noise = rng.standard_normal((h, w))
+        noise *= spec.noise_sigma
+        np.add(depth, noise, out=depth, where=depth > 0)
         depth[depth < 0] = 0.0
 
     if spec.dropout and face_lx is not None:
@@ -179,17 +204,23 @@ def render_scene(
             )
             block[hole] = 0.0
 
-    mm = np.rint(depth * 1000.0)
+    # quantized in place: whole millimeters, then meters again
+    mm = depth
+    mm *= 1000.0
+    np.rint(mm, out=mm)
     mm[(mm < 1) | (mm > 65535)] = 0
-    depth_q = mm / 1000.0
+    depth_q = np.divide(mm, 1000.0, out=mm)
 
     depth_img = DepthImage(depth_q)
-    mask_img = MaskImage(np.where(face_mask, 255, 0).astype(np.uint8))
+    mask_img = MaskImage(np.multiply(face_mask, 255, dtype=np.uint8))
 
-    vy, vx = np.nonzero(depth_q > 0)
-    pts = back_project(intr, vx, vy, depth_q[vy, vx])
-    cloud = PointCloud(pts, colors=rgb[vy, vx])
-    labels = surface[vy, vx]
+    valid = (depth_q > 0).ravel()
+    grid = back_project(intr, np.arange(w), np.arange(h)[:, None], depth_q)
+    cloud = PointCloud(
+        np.compress(valid, grid.reshape(-1, 3), axis=0),
+        colors=np.compress(valid, rgb.reshape(-1, 3), axis=0),
+    )
+    labels = np.compress(valid, surface.ravel())
     gt = GroundTruth(pose=pose, face_mask=mask_img, labels=labels)
     return rgb, depth_img, mask_img, cloud, gt
 

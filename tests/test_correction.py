@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from cuboidpose import (
     CuboidSpec,
     Pose,
-    centroid,
     correct_pose,
     estimate_translation_error,
     estimate_yaw_error,
@@ -34,7 +33,7 @@ def axis_targets(pose, w=FACE.width):
 def test_reference_grid_counts():
     ref = make_reference_face(FACE, 0.01)
     assert len(ref.cloud) == 31 * 21
-    assert_allclose(centroid(ref.cloud), [0.0, 0.0, 0.0], atol=1e-12)
+    assert_allclose(ref.cloud.points.mean(axis=0), [0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_reference_grid_extents():

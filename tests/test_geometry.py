@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cuboidpose import PointCloud, Pose, apply_transform, centroid, fit_obb
-from cuboidpose.errors import DegenerateCloud, DegenerateDirection, EmptyCloud
+from cuboidpose import PointCloud, Pose, apply_transform, fit_obb
+from cuboidpose.errors import DegenerateCloud, DegenerateDirection
 from cuboidpose.geometry import (
     orthonormalize,
     rotation_about,
@@ -43,27 +43,6 @@ def test_transform_rotates_normals():
     out = apply_transform(pose, cloud)
     # normals rotate but do not translate
     assert_allclose(out.normals[0], [0.0, 1.0, 0.0], atol=1e-9)
-
-
-def test_centroid_two_points():
-    c = centroid(PointCloud(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])))
-    assert_allclose(c, [1.0, 0.0, 0.0], atol=1e-12)
-
-
-def test_centroid_single_point():
-    c = centroid(PointCloud(np.array([[0.4, -0.2, 1.7]])))
-    assert_allclose(c, [0.4, -0.2, 1.7], atol=1e-12)
-
-
-def test_centroid_uniform_cube():
-    rng = np.random.default_rng(42)
-    pts = rng.uniform(0.0, 1.0, size=(10_000, 3))
-    assert_allclose(centroid(PointCloud(pts)), [0.5, 0.5, 0.5], atol=0.02)
-
-
-def test_centroid_empty_raises():
-    with pytest.raises(EmptyCloud):
-        centroid(PointCloud(np.empty((0, 3))))
 
 
 def box_corners(w, h, d):
@@ -215,17 +194,6 @@ def test_inverse_round_trip():
     pose = random_pose(rng)
     pts = rng.normal(size=(40, 3))
     assert_allclose(pose.inverse().transform(pose.transform(pts)), pts, atol=1e-9)
-
-
-def test_centroid_commutes_with_transform():
-    rng = np.random.default_rng(8)
-    cloud = PointCloud(rng.normal(size=(100, 3)))
-    pose = random_pose(rng)
-    assert_allclose(
-        centroid(apply_transform(pose, cloud)),
-        pose.transform(centroid(cloud)),
-        atol=1e-9,
-    )
 
 
 def test_rotation_angle():

@@ -98,9 +98,29 @@ def test_hsv_range_validation():
         HsvRange(h_lo=0.0, h_hi=10.0, s_lo=1.5)
 
 
+def rgb_to_hsv_oracle(rgb):
+    """The hexcone formula with v and the chroma reduced over the colour axis;
+    `rgb_to_hsv` must match it bit for bit."""
+    f = rgb.astype(np.float64) / 255.0
+    r, g, b = f[..., 0], f[..., 1], f[..., 2]
+    v = f.max(axis=-1)
+    c = v - f.min(axis=-1)
+    h = np.zeros_like(v)
+    nz = c > 0
+    rmax = nz & (v == r)
+    gmax = nz & ~rmax & (v == g)
+    bmax = nz & ~rmax & ~gmax
+    h[rmax] = np.mod((g[rmax] - b[rmax]) / c[rmax], 6.0)
+    h[gmax] = (b[gmax] - r[gmax]) / c[gmax] + 2.0
+    h[bmax] = (r[bmax] - g[bmax]) / c[bmax] + 4.0
+    h *= 60.0
+    s = np.where(v > 0, c / np.where(v > 0, v, 1.0), 0.0)
+    return h, s, v
+
+
 def full_frame_hsv_mask(rgb, rng):
     """Oracle: the HSV box applied to every pixel of the frame."""
-    h, s, v = rgb_to_hsv(rgb)
+    h, s, v = rgb_to_hsv_oracle(rgb)
     if rng.h_lo <= rng.h_hi:
         hue_ok = (h >= rng.h_lo) & (h <= rng.h_hi)
     else:
@@ -111,11 +131,15 @@ def full_frame_hsv_mask(rgb, rng):
 
 @st.composite
 def mixed_images(draw):
-    """Small uint8 images mixing arbitrary, gray, near-gray and saturated pixels."""
+    """Small uint8 images mixing arbitrary, gray, near-gray, saturated and
+    tied-maximum pixels."""
     h = draw(st.integers(1, 12))
     w = draw(st.integers(1, 12))
-    img = draw(arrays(np.uint8, (h, w, 3))).copy()
-    kind = draw(arrays(np.int8, (h, w), elements=st.integers(0, 3)))
+    # fill=st.nothing() draws every element, so pixels and kinds really mix
+    # (by default most elements share one fill value)
+    img = draw(arrays(np.uint8, (h, w, 3), fill=st.nothing())).copy()
+    kind = draw(arrays(np.int8, (h, w), elements=st.integers(0, 4), fill=st.nothing()))
+    pair = draw(arrays(np.int8, (h, w), elements=st.integers(0, 2), fill=st.nothing()))
     img[kind == 1] = img[kind == 1][:, :1]  # gray: all channels equal
     near = kind == 2  # one channel off gray by one level
     img[near, 1:] = img[near, :1]
@@ -123,6 +147,11 @@ def mixed_images(draw):
     sat = kind == 3  # fully saturated: some channel at 0, another at 255
     img[sat, 0] = 255
     img[sat, 2] = 0
+    top = img.max(axis=-1)  # tied: two channels share the maximum
+    for k, (i, j) in enumerate([(0, 1), (1, 2), (0, 2)]):
+        tie = (kind == 4) & (pair == k)
+        img[tie, i] = top[tie]
+        img[tie, j] = top[tie]
     return img
 
 
@@ -132,11 +161,29 @@ _hue = st.floats(0.0, 360.0, exclude_max=True)
 
 @st.composite
 def hsv_ranges(draw):
-    """Hue ranges that wrap (h_lo > h_hi) and that do not; s_lo often 0."""
+    """Hue ranges that wrap (h_lo > h_hi) and that do not; s_lo often 0.
+    The s and v bounds are drawn in order, so most boxes are non-empty."""
     h_lo = draw(_hue)
     h_hi = draw(_hue)
     s_lo = draw(st.one_of(st.just(0.0), _unit))
-    return HsvRange(h_lo, h_hi, s_lo, draw(_unit), draw(_unit), draw(_unit))
+    s_hi = draw(st.floats(s_lo, 1.0))
+    v_lo = draw(_unit)
+    return HsvRange(h_lo, h_hi, s_lo, s_hi, v_lo, draw(st.floats(v_lo, 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_images())
+def test_rgb_to_hsv_matches_oracle(img):
+    """Per-channel max/min give the same h, s and v bits as the colour-axis
+    reduction, for an image and for its flattened pixels, including pixels
+    whose maximum is shared by two channels (red wins over green, green over
+    blue)."""
+    want = rgb_to_hsv_oracle(img)
+    for rgb in (img, img.reshape(-1, 3)):
+        got = rgb_to_hsv(rgb)
+        for a, b in zip(got, want):
+            assert a.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -11,9 +11,18 @@ from cuboidpose import (
     make_reference_face,
     render_scene,
 )
+from cuboidpose.camera import DepthImage, MaskImage, back_project
 from cuboidpose.errors import FaceOutOfView, InvalidSpec
-from cuboidpose.geometry import rotation_angle, rotation_about
-from cuboidpose.synth import LABEL_FACE, BackgroundPlane, inject_pose_error
+from cuboidpose.geometry import PointCloud, rotation_angle, rotation_about
+from cuboidpose.synth import (
+    LABEL_BACKGROUND,
+    LABEL_FACE,
+    BackgroundPlane,
+    GroundTruth,
+    _local_corners,
+    _validate,
+    inject_pose_error,
+)
 
 FACE = CuboidSpec(0.30, 0.20, 0.05)
 
@@ -162,3 +171,176 @@ def test_scene_validation():
         render_scene(SceneSpec(FACE, pose, intr, dropout=[(4, 0.1)]))
     with pytest.raises(InvalidSpec):
         render_scene(SceneSpec(FACE, pose, intr, noise_sigma=-0.001))
+
+
+# ---------------------------------------------------------------- render oracle
+
+def render_scene_oracle(spec):
+    """The renderer as it was before its per-channel kernels: colours are
+    broadcast over the channel axis, the noise goes through `np.where` and the
+    cloud is gathered at `np.nonzero` pixels. `render_scene` must match it bit
+    for bit."""
+    _validate(spec)
+    intr = spec.intrinsics
+    h, w = intr.height, intr.width
+    depth = np.zeros((h, w))
+    surface = np.full((h, w), -1, dtype=np.int8)
+    rgb = np.empty((h, w, 3), dtype=np.uint8)
+    rgb[:] = spec.void_color
+
+    for bp in spec.background:
+        closer = (depth == 0) | (bp.depth < depth)
+        depth[closer] = bp.depth
+        surface[closer] = LABEL_BACKGROUND
+        np.copyto(rgb, np.array(bp.color, dtype=np.uint8), where=closer[..., None])
+
+    pose = spec.gt_pose
+    corners_cam = pose.transform(_local_corners(spec.cuboid))
+    if np.any(corners_cam[:, 2] <= 1e-6):
+        raise FaceOutOfView("a face corner is behind the camera")
+    px = np.column_stack(
+        [
+            intr.fx * corners_cam[:, 0] / corners_cam[:, 2] + intr.cx,
+            intr.fy * corners_cam[:, 1] / corners_cam[:, 2] + intr.cy,
+        ]
+    )
+    analytic_area = 0.5 * abs(
+        float(
+            np.sum(px[:, 0] * np.roll(px[:, 1], -1) - np.roll(px[:, 0], -1) * px[:, 1])
+        )
+    )
+
+    x0 = max(0, int(np.floor(px[:, 0].min())))
+    x1 = min(w - 1, int(np.ceil(px[:, 0].max())))
+    y0 = max(0, int(np.floor(px[:, 1].min())))
+    y1 = min(h - 1, int(np.ceil(px[:, 1].max())))
+    face_lx = face_ly = None
+    if x0 <= x1 and y0 <= y1:
+        xs = np.arange(x0, x1 + 1)
+        ys = np.arange(y0, y1 + 1)
+        gx, gy = np.meshgrid(xs, ys)
+        dir_x = (gx - intr.cx) / intr.fx
+        dir_y = (gy - intr.cy) / intr.fy
+        normal = pose.r[:, 2]
+        offset = float(pose.t @ normal)
+        denom = dir_x * normal[0] + dir_y * normal[1] + normal[2]
+        safe = np.abs(denom) > 1e-9
+        z = np.where(safe, offset / np.where(safe, denom, 1.0), -1.0)
+        p_x = dir_x * z
+        p_y = dir_y * z
+        rel_x = p_x - pose.t[0]
+        rel_y = p_y - pose.t[1]
+        rel_z = z - pose.t[2]
+        lx = rel_x * pose.r[0, 0] + rel_y * pose.r[1, 0] + rel_z * pose.r[2, 0]
+        ly = rel_x * pose.r[0, 1] + rel_y * pose.r[1, 1] + rel_z * pose.r[2, 1]
+        inside = (
+            safe
+            & (z > 1e-6)
+            & (np.abs(lx) <= spec.cuboid.width / 2.0)
+            & (np.abs(ly) <= spec.cuboid.height / 2.0)
+        )
+        block = depth[y0 : y1 + 1, x0 : x1 + 1]
+        wins = inside & ((block == 0) | (z < block))
+        block[wins] = z[wins]
+        surface[y0 : y1 + 1, x0 : x1 + 1][wins] = LABEL_FACE
+        rgb[y0 : y1 + 1, x0 : x1 + 1][wins] = spec.face_color
+        face_lx, face_ly, face_wins = lx, ly, wins
+
+    face_mask = surface == LABEL_FACE
+    coverage_base = max(analytic_area, 1.0)
+    if face_mask.sum() / coverage_base < 0.5:
+        raise FaceOutOfView(
+            f"only {face_mask.sum()} of ~{analytic_area:.0f} face pixels in frame"
+        )
+
+    rng = np.random.default_rng(spec.seed)
+    if spec.noise_sigma > 0:
+        noise = rng.standard_normal((h, w)) * spec.noise_sigma
+        depth = np.where(depth > 0, depth + noise, 0.0)
+        depth[depth < 0] = 0.0
+
+    if spec.dropout and face_lx is not None:
+        corners_local = _local_corners(spec.cuboid)
+        diag = spec.cuboid.diagonal
+        block = depth[y0 : y1 + 1, x0 : x1 + 1]
+        for corner, frac in spec.dropout:
+            radius = frac * diag
+            cx_l, cy_l = corners_local[corner, 0], corners_local[corner, 1]
+            hole = (
+                face_wins
+                & ((face_lx - cx_l) ** 2 + (face_ly - cy_l) ** 2 <= radius * radius)
+            )
+            block[hole] = 0.0
+
+    mm = np.rint(depth * 1000.0)
+    mm[(mm < 1) | (mm > 65535)] = 0
+    depth_q = mm / 1000.0
+
+    depth_img = DepthImage(depth_q)
+    mask_img = MaskImage(np.where(face_mask, 255, 0).astype(np.uint8))
+
+    vy, vx = np.nonzero(depth_q > 0)
+    pts = back_project(intr, vx, vy, depth_q[vy, vx])
+    cloud = PointCloud(pts, colors=rgb[vy, vx])
+    labels = surface[vy, vx]
+    gt = GroundTruth(pose=pose, face_mask=mask_img, labels=labels)
+    return rgb, depth_img, mask_img, cloud, gt
+
+
+TILT = rotation_about([0.2, -0.1, 1.0], 0.6)
+
+RENDER_CASES = {
+    # no background: most pixels have no depth, so the cloud is the face alone
+    "no_background": dict(noise_sigma=0.001),
+    # the nearest plane wins whether it is drawn after a farther one or before
+    "stacked_planes": dict(
+        background=[
+            BackgroundPlane(2.0, (30, 60, 90)),
+            BackgroundPlane(1.4, (90, 20, 5)),
+            BackgroundPlane(3.0, (5, 5, 250)),
+        ]
+    ),
+    # a plane nearer than part of the face (0.957-1.043 m): the z-buffer
+    # rejects about a quarter of the face pixels
+    "plane_in_front": dict(
+        pose=Pose(rotation_about([1.0, 0.0, 0.0], 0.45), np.array([0.0, 0.0, 1.0])),
+        background=[BackgroundPlane(1.02, (10, 200, 10)), BackgroundPlane(2.5)],
+    ),
+    "noise_and_dropout": dict(
+        noise_sigma=0.002,
+        dropout=[(0, 0.2), (2, 0.15)],
+        background=[BackgroundPlane(1.6)],
+        seed=9,
+    ),
+    # about a quarter of the face lies beyond the right image border
+    "partly_out_of_frame": dict(
+        pose=Pose(TILT, np.array([0.52, 0.05, 1.1])),
+        noise_sigma=0.0005,
+        dropout=[(1, 0.1)],
+        background=[BackgroundPlane(1.8)],
+    ),
+    "noise_zero": dict(noise_sigma=0.0, background=[BackgroundPlane(1.5)]),
+    # no plane, so the void shows; every colour has three distinct channels
+    "custom_colors": dict(
+        face_color=(17, 250, 3),
+        void_color=(255, 0, 77),
+        noise_sigma=0.001,
+        seed=3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_matches_oracle(case, intr640):
+    kw = dict(RENDER_CASES[case])
+    pose = kw.pop("pose", Pose(TILT, np.array([0.01, -0.02, 1.0])))
+    spec = SceneSpec(FACE, pose, intr640, **kw)
+    rgb, depth, mask, cloud, gt = render_scene(spec)
+    o_rgb, o_depth, o_mask, o_cloud, o_gt = render_scene_oracle(spec)
+    assert np.array_equal(rgb, o_rgb)
+    assert depth.data.tobytes() == o_depth.data.tobytes()
+    assert np.array_equal(mask.data, o_mask.data)
+    assert np.array_equal(gt.face_mask.data, o_gt.face_mask.data)
+    assert cloud.points.tobytes() == o_cloud.points.tobytes()
+    assert cloud.colors.tobytes() == o_cloud.colors.tobytes()
+    assert np.array_equal(gt.labels, o_gt.labels)
