@@ -141,7 +141,8 @@ def apply_transform(pose: Pose, cloud: PointCloud) -> PointCloud:
     normals = None
     if cloud.normals is not None:
         normals = np.einsum("ij,kj->ik", cloud.normals, pose.r)
-    points = np.einsum("ij,kj->ik", cloud.points, pose.r) + pose.t
+    points = np.einsum("ij,kj->ik", cloud.points, pose.r)
+    points += pose.t
     return PointCloud(points, normals, cloud.colors, cloud.curvatures)
 
 

@@ -43,7 +43,8 @@ def _read_pnm_header(data: bytes, magic: bytes, path):
 
 def save_pgm16(path, depth: DepthImage) -> None:
     """Depth in whole millimeters as 16-bit big-endian PGM; 0 marks invalid."""
-    mm = np.rint(depth.data * 1000.0)
+    mm = depth.data * 1000.0
+    np.rint(mm, out=mm)
     if np.any(mm > 65535):
         raise ValueError("depth exceeds 16-bit millimeter range")
     with open(path, "wb") as f:
@@ -60,7 +61,9 @@ def load_pgm16(path) -> DepthImage:
     raw = np.frombuffer(data, dtype=">u2", offset=pos, count=w * h)
     if raw.size != w * h:
         raise ParseError(f"{path}: truncated pixel data")
-    return DepthImage(raw.reshape(h, w).astype(np.float64) / 1000.0)
+    meters = raw.reshape(h, w).astype(np.float64)
+    meters /= 1000.0
+    return DepthImage(meters)
 
 
 def save_pgm8(path, mask: MaskImage) -> None:

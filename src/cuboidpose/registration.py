@@ -20,6 +20,7 @@ from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from .errors import NoCorrespondences, RegistrationFailed
 from .filters import voxel_downsample
@@ -61,17 +62,11 @@ class RegistrationResult:
 
 def _pair_table(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every index pair i < j of `pts` in lexicographic order, with its
-    distance. The squares are summed x, y, z left to right before the root,
-    which is how `np.linalg.norm(pts[i] - pts[j], axis=1)` rounds."""
+    distance. `pdist` lists the pairs in that order and sums the squares x, y,
+    z left to right before the root, which is how
+    `np.linalg.norm(pts[i] - pts[j], axis=1)` rounds."""
     i, j = np.triu_indices(len(pts), k=1)
-    d = np.zeros(len(i))
-    for axis in range(3):
-        coord = pts[:, axis].copy()
-        delta = coord[i] - coord[j]
-        delta *= delta
-        d += delta
-    np.sqrt(d, out=d)
-    return i, j, d
+    return i, j, pdist(pts)
 
 
 def _annulus(table, r: float, eps: float) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,12 +13,14 @@ from cuboidpose import (
     make_reference_face,
     render_scene,
 )
+from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
 from cuboidpose.camera import DepthImage, MaskImage, back_project
 from cuboidpose.errors import FaceOutOfView, InvalidSpec
 from cuboidpose.geometry import PointCloud, rotation_angle, rotation_about
 from cuboidpose.synth import (
     LABEL_BACKGROUND,
     LABEL_FACE,
+    _BLOCK_ROWS,
     BackgroundPlane,
     GroundTruth,
     _local_corners,
@@ -330,11 +334,9 @@ RENDER_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(RENDER_CASES))
-def test_render_matches_oracle(case, intr640):
-    kw = dict(RENDER_CASES[case])
-    pose = kw.pop("pose", Pose(TILT, np.array([0.01, -0.02, 1.0])))
-    spec = SceneSpec(FACE, pose, intr640, **kw)
+def assert_render_matches_oracle(spec):
+    """Every output of `render_scene(spec)` equals the oracle's bit for bit;
+    returns the oracle's depth and mask."""
     rgb, depth, mask, cloud, gt = render_scene(spec)
     o_rgb, o_depth, o_mask, o_cloud, o_gt = render_scene_oracle(spec)
     assert np.array_equal(rgb, o_rgb)
@@ -344,3 +346,96 @@ def test_render_matches_oracle(case, intr640):
     assert cloud.points.tobytes() == o_cloud.points.tobytes()
     assert cloud.colors.tobytes() == o_cloud.colors.tobytes()
     assert np.array_equal(gt.labels, o_gt.labels)
+    return o_depth, o_mask
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_matches_oracle(case, intr640):
+    kw = dict(RENDER_CASES[case])
+    pose = kw.pop("pose", Pose(TILT, np.array([0.01, -0.02, 1.0])))
+    assert_render_matches_oracle(SceneSpec(FACE, pose, intr640, **kw))
+
+
+@pytest.mark.parametrize(
+    "height", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+)
+def test_render_row_blocks_match_oracle(height):
+    """Images of one row, of one block give or take a row, and of a partial
+    third block. fy grows with the height so the face always projects 1.2
+    image heights tall: it overruns the top and bottom rows and so crosses
+    every block edge."""
+    intr = CameraIntrinsics(
+        fx=600.0, fy=6.0 * height, cx=320.0, cy=height / 2.0, width=640, height=height
+    )
+    spec = SceneSpec(
+        FACE,
+        Pose(TILT, np.array([0.01, 0.0, 1.0])),
+        intr,
+        noise_sigma=0.001,
+        dropout=[(0, 0.25), (3, 0.2)],
+        background=[BackgroundPlane(1.6)],
+        seed=4,
+    )
+    _, o_mask = assert_render_matches_oracle(spec)
+    assert o_mask.count() > 0
+
+
+def _spans_block_edge(rows_hit) -> bool:
+    rows = np.flatnonzero(rows_hit)
+    return len(rows) > 0 and rows[0] // _BLOCK_ROWS != rows[-1] // _BLOCK_ROWS
+
+
+def test_render_face_and_hole_across_block_edge(intr640):
+    spec = SceneSpec(
+        FACE,
+        Pose(TILT, np.array([0.0, -0.03, 1.0])),
+        intr640,
+        noise_sigma=0.002,
+        dropout=[(1, 0.25)],
+        background=[BackgroundPlane(1.5)],
+        seed=12,
+    )
+    o_depth, o_mask = assert_render_matches_oracle(spec)
+    face = o_mask.data != 0
+    hole = face & (o_depth.data == 0)
+    assert _spans_block_edge(face.any(axis=1))
+    assert _spans_block_edge(hole.any(axis=1))
+
+
+def test_render_face_out_of_the_bottom(intr640):
+    """About a third of the face lies below the last, partial row block."""
+    spec = SceneSpec(
+        FACE,
+        Pose(TILT, np.array([0.0, 0.34, 1.2])),
+        intr640,
+        noise_sigma=0.001,
+        dropout=[(2, 0.2)],
+        background=[BackgroundPlane(1.9)],
+        seed=5,
+    )
+    _, o_mask = assert_render_matches_oracle(spec)
+    assert o_mask.data[-1].any()
+    assert _spans_block_edge(o_mask.data.any(axis=1))
+
+
+def test_render_allocates_little_beyond_its_outputs():
+    """One 1280x720 bench scene (noise, corner dropout, a background plane)
+    may allocate at most 12 MB beyond the arrays it returns; a frame-sized
+    float64 temporary alone is 7.4 MB."""
+    config = BenchConfig(dropout_frac=0.1)
+    scene_seed, gt_pose, corner, _, _ = draw_trial(config, 0)
+    spec = scene_spec_for(config, scene_seed, gt_pose, corner)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rgb, depth, mask, cloud, gt = render_scene(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = sum(
+        a.nbytes
+        for a in (rgb, depth.data, mask.data, cloud.points, cloud.colors, gt.labels)
+    )
+    assert len(cloud) > 0.9 * 1280 * 720
+    assert peak - returned <= 12e6, f"{(peak - returned) / 1e6:.1f} MB transient"
