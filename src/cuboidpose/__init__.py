@@ -23,7 +23,6 @@ from .camera import (
     deproject_mask,
     inverse_project,
     project,
-    sample_depth_window,
 )
 from .correction import (
     CorrectionReport,
@@ -132,7 +131,6 @@ __all__ = [
     "run_bench",
     "run_pipeline",
     "run_trial",
-    "sample_depth_window",
     "signed_angle_in_plane",
     "statistical_outlier_removal",
     "target_axis_points",

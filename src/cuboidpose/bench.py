@@ -150,10 +150,14 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
 
     Thresholds the RGB image, sizes the face on the deprojected mask, voxels
     that cloud (then drops statistical outliers when `use_sor` is on) into
-    the segment, and samples the axis points from the outline quadrilateral.
-    The ROI gate runs before voxelling because where the noisy face crosses
-    a voxel layer the centroids come in denser stripes, which tilt the voxel
-    cloud's PCA box by up to 10 degrees and make a true face read too large.
+    the segment, and takes the axis points where the pixel rays of the
+    outline quadrilateral's corners meet the face plane. That plane runs
+    through the mean of the deprojected mask and is normal to the smallest
+    axis of the ROI gate's box; the box's center would follow the noise
+    extremes along the normal. The ROI gate runs before voxelling because
+    where the noisy face crosses a voxel layer the centroids come in denser
+    stripes, which tilt the voxel cloud's PCA box by up to 10 degrees and make
+    a true face read too large.
     """
     with _stage("hsv_threshold"):
         mask = hsv_threshold(rgb, config.hsv)
@@ -165,7 +169,7 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
     with _stage("deproject"):
         cloud = deproject_mask(intr, depth, mask)
     with _stage("roi_filter"):
-        roi_filter([cloud], config.roi)
+        _, obb = roi_filter([cloud], config.roi)
     with _stage("filters"):
         segment = voxel_downsample(cloud, config.voxel_leaf_m)
         if config.use_sor and len(segment) > config.sor_k:
@@ -174,7 +178,7 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
             )
     with _stage("t_points"):
         quad = fit_quadrilateral(mask)
-        t1, t2 = target_axis_points(quad, intr, depth)
+        t1, t2 = target_axis_points(quad, intr, cloud.points.mean(axis=0), obb.axes[2])
     return segment, t1, t2, quad
 
 

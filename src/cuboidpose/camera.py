@@ -132,30 +132,3 @@ def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -
     ys, xs = np.nonzero((mask.data != 0) & (depth.data > 0))
     return PointCloud(back_project(intr, xs, ys, depth.data[ys, xs]))
 
-
-def sample_depth_window(depth: DepthImage, pixel, window: int = 5) -> float:
-    """Depth estimate around a pixel, robust to holes and sensor noise.
-
-    Collects valid depths inside a `window` x `window` box clipped to the
-    image. The value nearest the box center anchors a consensus band of
-    +-25 mm; the mean of in-band values is returned. Raises InvalidDepth when
-    the box holds no valid depth.
-    """
-    x, y = int(round(pixel[0])), int(round(pixel[1]))
-    h, w = depth.data.shape
-    half = window // 2
-    x0, x1 = max(0, x - half), min(w, x + half + 1)
-    y0, y1 = max(0, y - half), min(h, y + half + 1)
-    if x0 >= x1 or y0 >= y1:
-        raise InvalidDepth(f"window around ({x}, {y}) is outside the image")
-    block = depth.data[y0:y1, x0:x1]
-    yy, xx = np.nonzero(block > 0)
-    if len(yy) == 0:
-        raise InvalidDepth(f"no valid depth near pixel ({x}, {y})")
-    # anchor on the valid value closest to the center, ties by row then column
-    d2 = (yy + y0 - y) ** 2 + (xx + x0 - x) ** 2
-    order = np.lexsort((xx, yy, d2))
-    anchor = block[yy[order[0]], xx[order[0]]]
-    vals = block[yy, xx]
-    vals = vals[np.abs(vals - anchor) <= 0.025]
-    return float(vals.mean())

@@ -4,8 +4,9 @@ After coarse registration of a synthetic reference grid onto the measured
 face, the remaining error is dominated by an in-plane rotation (yaw about the
 face normal) and a translation. Both are recovered from two point pairs:
 
-* two measured points spanning the face along its long direction
-  (`segmentation.target_axis_points`), and
+* two measured points spanning the face along its long direction, the 3D
+  midpoints of the outline's short edges where their corners' pixel rays meet
+  the measured face plane (`segmentation.target_axis_points`), and
 * the matching pair on the posed reference grid (`reference_axis_points`).
 
 The yaw error is the signed in-plane angle between the two segments; the

@@ -60,13 +60,14 @@ class RegistrationResult:
     elapsed: float
 
 
-def _pair_table(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every index pair i < j of `pts` in lexicographic order, with its
-    distance. `pdist` lists the pairs in that order and sums the squares x, y,
-    z left to right before the root, which is how
+def _pair_table(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distance of every index pair i < j of `pts` in lexicographic order,
+    with the position where each row i starts in that list, i*n - i*(i+1)/2,
+    in exact integers. `pdist` lists the pairs in that order and sums the
+    squares x, y, z left to right before the root, which is how
     `np.linalg.norm(pts[i] - pts[j], axis=1)` rounds."""
-    i, j = np.triu_indices(len(pts), k=1)
-    return i, j, pdist(pts)
+    rows = np.arange(len(pts))
+    return rows * len(pts) - rows * (rows + 1) // 2, pdist(pts)
 
 
 def _annulus(table, r: float, eps: float) -> np.ndarray:
@@ -74,9 +75,10 @@ def _annulus(table, r: float, eps: float) -> np.ndarray:
     (r - eps, r + eps), in the table's lexicographic order."""
     if r <= 0 or eps <= 0 or eps >= r:
         raise ValueError("need 0 < eps < r")
-    i, j, d = table
+    starts, d = table
     sel = np.flatnonzero((d > r - eps) & (d < r + eps))
-    return np.column_stack((i[sel], j[sel]))
+    i = np.searchsorted(starts, sel, side="right") - 1
+    return np.column_stack((i, sel - starts[i] + i + 1))
 
 
 def pairs_in_range(cloud: PointCloud, r: float, eps: float) -> list[tuple[int, int]]:

@@ -10,13 +10,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .camera import (
-    CameraIntrinsics,
-    DepthImage,
-    MaskImage,
-    back_project,
-    sample_depth_window,
-)
+from .camera import CameraIntrinsics, MaskImage, back_project
 from .errors import (
     DegenerateCloud,
     InvalidDepth,
@@ -26,12 +20,6 @@ from .errors import (
     NotQuadrilateralLike,
 )
 from .geometry import Obb, PointCloud, fit_obb
-
-# Depth for the axis endpoints is sampled slightly inside the outline so the
-# averaging window cannot straddle the face boundary. The symmetric shift of
-# both endpoints cancels in the midpoint and leaves the direction unchanged.
-_INWARD_PIXELS = 2.0
-_DEPTH_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -396,44 +384,36 @@ def roi_filter(
     return best
 
 
-def _edge_midpoint_sample(intr, depth, mid, toward, window):
-    """Inverse-project a continuous pixel using window-averaged depth sampled
-    slightly toward `toward` (the outline interior)."""
-    direction = np.asarray(toward, dtype=np.float64) - mid
-    norm = np.linalg.norm(direction)
-    center = mid + direction / norm * _INWARD_PIXELS if norm > 1e-9 else mid
-    z = sample_depth_window(depth, center, window)
-    return back_project(intr, mid[0], mid[1], z)
-
-
 def target_axis_points(
-    quad: Quadrilateral2D, intr: CameraIntrinsics, depth: DepthImage
+    quad: Quadrilateral2D, intr: CameraIntrinsics, point, normal
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two 3D points spanning the face along its long direction.
 
-    The midpoints of the two shorter outline edges are inverse-projected with
-    window-averaged depth. The first returned point has the smaller image x
-    (ties: smaller y). When only one midpoint has depth, the other is mirrored
-    through the outline centroid; when neither has depth, InvalidDepth.
+    The pixel rays of the outline's four corners are intersected with the face
+    plane through `point` with normal `normal`, and the 3D midpoints of the
+    two shorter edges are returned. The first returned point is that of the
+    edge whose image midpoint has the smaller x (ties: smaller y). Raises
+    InvalidDepth when any ray meets the plane at or behind the camera, or
+    runs parallel to it.
     """
     lengths = quad.edge_lengths
     pair = (0, 2) if lengths[0] + lengths[2] <= lengths[1] + lengths[3] else (1, 3)
     corners = quad.corners
+    normal = np.asarray(normal, dtype=np.float64)
+    rays = back_project(intr, corners[:, 0], corners[:, 1], np.ones(4))
+    along = rays @ normal
+    offset = np.asarray(point, dtype=np.float64) @ normal
+    # a ray parallel to the plane keeps z = 0 and fails the check below
+    z = np.divide(offset, along, out=np.zeros(4), where=along != 0.0)
+    if not np.all(z > 0.0):
+        raise InvalidDepth(
+            "an outline corner's ray does not meet the face plane in front of "
+            "the camera"
+        )
+    pts = rays * z[:, None]
     mids = [(corners[i] + corners[(i + 1) % 4]) / 2.0 for i in pair]
-    center_px = corners.mean(axis=0)
-    pts: list[np.ndarray | None] = []
-    for mid in mids:
-        try:
-            pts.append(_edge_midpoint_sample(intr, depth, mid, center_px, _DEPTH_WINDOW))
-        except InvalidDepth:
-            pts.append(None)
-    if pts[0] is None and pts[1] is None:
-        raise InvalidDepth("no valid depth at either short-edge midpoint")
-    if pts[0] is None or pts[1] is None:
-        have = 0 if pts[0] is not None else 1
-        center3d = _edge_midpoint_sample(intr, depth, center_px, center_px, _DEPTH_WINDOW)
-        pts[1 - have] = 2.0 * center3d - pts[have]
+    ends = [(pts[i] + pts[(i + 1) % 4]) / 2.0 for i in pair]
     first = 0
     if (mids[1][0], mids[1][1]) < (mids[0][0], mids[0][1]):
         first = 1
-    return pts[first], pts[1 - first]
+    return ends[first], ends[1 - first]

@@ -1,6 +1,7 @@
 """Shared fixtures: one camera model and a couple of pre-rendered scenes that
-several test files reuse instead of rendering their own; and the symmetric
-rotation error that the pose tests measure with."""
+several test files reuse instead of rendering their own; the symmetric
+rotation error that the pose tests measure with; and the face plane that the
+axis-point tests intersect."""
 
 import math
 from types import SimpleNamespace
@@ -8,7 +9,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cuboidpose import CameraIntrinsics, CuboidSpec, Pose, SceneSpec, render_scene
+from cuboidpose import (
+    CameraIntrinsics,
+    CuboidSpec,
+    Pose,
+    SceneSpec,
+    deproject_mask,
+    fit_obb,
+    render_scene,
+)
 from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
 from cuboidpose.geometry import rotation_about, rotation_angle, rotation_z
 from cuboidpose.synth import BackgroundPlane
@@ -29,6 +38,13 @@ def symmetric_rot_err_deg(r_est, r_true):
     return min(
         math.degrees(rotation_angle(r_est @ s @ r_true.T)) for s in RECT_SYMMETRIES
     )
+
+
+def face_plane(intr, depth, mask):
+    """(point, normal) of the face plane the way the pipeline measures it: the
+    mean of the deprojected mask and the smallest axis of its box."""
+    cloud = deproject_mask(intr, depth, mask)
+    return cloud.points.mean(axis=0), fit_obb(cloud).axes[2]
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from cuboidpose.io import save_scene, write_kv
 from cuboidpose.registration import RegistrationParams
 from cuboidpose.segmentation import HsvRange, target_axis_points
 from cuboidpose.synth import render_scene
-from conftest import symmetric_rot_err_deg
+from conftest import face_plane, symmetric_rot_err_deg
 
 
 def test_draw_trial_deterministic():
@@ -271,7 +271,8 @@ def test_pipeline_orientation_is_canonical(tmp_path, drawn):
     # face normal points back at the camera
     assert float(result.pose.r[:, 2] @ result.pose.t) < 0.0
     # local x runs along the measured axis direction
-    t1, t2 = target_axis_points(result.quad, drawn.intr, drawn.depth)
+    plane = face_plane(drawn.intr, drawn.depth, drawn.mask)
+    t1, t2 = target_axis_points(result.quad, drawn.intr, *plane)
     assert float(result.pose.r[:, 0] @ (np.asarray(t2) - np.asarray(t1))) >= 0.0
 
 

@@ -10,7 +10,6 @@ from cuboidpose import (
     fit_obb,
     inverse_project,
     project,
-    sample_depth_window,
 )
 from cuboidpose.errors import (
     BehindCamera,
@@ -135,30 +134,6 @@ def test_deprojected_face_matches_dimensions(frontal):
     assert abs(obb.half_extents[0] - 0.15) < px
     assert abs(obb.half_extents[1] - 0.10) < px
     assert obb.half_extents[2] < 1e-6
-
-
-def test_sample_depth_window_plain():
-    depth = DepthImage(np.full((20, 20), 1.234))
-    assert sample_depth_window(depth, (10, 10)) == pytest.approx(1.234)
-
-
-def test_sample_depth_window_skips_holes():
-    depth = DepthImage(np.full((20, 20), 2.0))
-    depth.data[10, 10] = 0.0
-    assert sample_depth_window(depth, (10, 10)) == pytest.approx(2.0)
-
-
-def test_sample_depth_window_rejects_far_outlier():
-    # a 200 mm jump inside the window stays outside the consensus band
-    depth = DepthImage(np.full((20, 20), 1.0))
-    depth.data[9, 9] = 1.2
-    assert sample_depth_window(depth, (10, 10)) == pytest.approx(1.0)
-
-
-def test_sample_depth_window_empty():
-    depth = DepthImage(np.zeros((20, 20)))
-    with pytest.raises(InvalidDepth):
-        sample_depth_window(depth, (10, 10))
 
 
 def test_intrinsics_validation():

@@ -79,8 +79,8 @@ def test_pairs_in_range_tiny_clouds():
     assert pairs_in_range(two, 0.5, 0.1) == [(0, 1)]
     assert pairs_in_range(two, 1.0, 0.1) == []
     for n in (0, 1, 2):
-        i, j, d = _pair_table(np.zeros((n, 3)))
-        assert len(i) == len(j) == len(d) == n * (n - 1) // 2
+        starts, d = _pair_table(np.zeros((n, 3)))
+        assert len(starts) == n and len(d) == n * (n - 1) // 2
 
 
 def test_pairs_at_the_annulus_bounds_are_excluded():
@@ -100,12 +100,18 @@ def test_pair_table_matches_norm_bitwise(seed):
     n = int(rng.integers(2, 400))
     scale = 10.0 ** rng.uniform(-3, 3)
     pts = rng.normal(size=(n, 3)) * scale + rng.uniform(-5, 5, 3) * scale
-    i, j, d = _pair_table(pts)
+    table = _pair_table(pts)
+    d = table[1]
     iu, ju = np.triu_indices(n, k=1)
-    assert np.array_equal(i, iu) and np.array_equal(j, ju)
-    assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
+    assert np.array_equal(d, np.linalg.norm(pts[iu] - pts[ju], axis=1))
+    # an annulus holding every distance returns the full lexicographic list
+    far = float(d.max())
+    every = _annulus(table, far, far * (1.0 - 1e-12))
+    assert np.array_equal(every, np.column_stack((iu, ju)))
     r = float(np.median(d))
-    pairs = _annulus((i, j, d), r, r / 10.0)
+    pairs = _annulus(table, r, r / 10.0)
+    sel = (d > r - r / 10.0) & (d < r + r / 10.0)
+    assert np.array_equal(pairs, np.column_stack((iu[sel], ju[sel])))
     assert pairs.shape[1] == 2 and len(pairs) > 0
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     assert np.array_equal(order, np.arange(len(pairs)))

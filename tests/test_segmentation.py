@@ -31,7 +31,12 @@ from cuboidpose.errors import (
     NotQuadrilateralLike,
 )
 from cuboidpose import segmentation
+from cuboidpose.bench import BenchConfig
+from cuboidpose.camera import project
+from cuboidpose.geometry import Pose, rotation_about, rotation_z
 from cuboidpose.segmentation import _refine_quad, rgb_to_hsv
+from cuboidpose.synth import BackgroundPlane, SceneSpec, render_scene
+from conftest import FACE, face_plane
 
 RED = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_hi=1.0)
 
@@ -463,9 +468,19 @@ def test_roi_beats_clutter_every_seed():
 
 # ---------------------------------------------------------------- axis points
 
+# Noiseless faces give the plane exactly, so the points are as good as the
+# outline's corners: off the face's long axis and at their midpoint, a few
+# hundredths of a millimetre at 1 m. Along the axis both points sit the
+# refined outline's half-pixel inset (0.54 mm at 1 m, f = 920) inside the
+# edge; the inset is equal at both ends and leaves midpoint and direction.
+AXIS_TOL = 1e-4
+INSET_TOL = 7.5e-4
+
+
 def test_axis_points_frontal(frontal):
     quad = fit_quadrilateral(frontal.gt.face_mask)
-    t1, t2 = target_axis_points(quad, frontal.intr, frontal.depth)
+    plane = face_plane(frontal.intr, frontal.depth, frontal.gt.face_mask)
+    t1, t2 = target_axis_points(quad, frontal.intr, *plane)
     assert_allclose(t1, [-0.15, 0.0, 1.0], atol=0.0017)  # one pixel at 1 m
     assert_allclose(t2, [0.15, 0.0, 1.0], atol=0.0017)
     assert t1[0] < t2[0]  # smaller image x first
@@ -473,7 +488,8 @@ def test_axis_points_frontal(frontal):
 
 def test_axis_points_equidistant_on_drawn_scene(drawn):
     quad = fit_quadrilateral(drawn.mask)
-    t1, t2 = target_axis_points(quad, drawn.intr, drawn.depth)
+    plane = face_plane(drawn.intr, drawn.depth, drawn.mask)
+    t1, t2 = target_axis_points(quad, drawn.intr, *plane)
     center = drawn.gt_pose.transform(np.zeros(3))
     gap = abs(np.linalg.norm(t1 - center) - np.linalg.norm(t2 - center))
     assert gap < 0.002
@@ -483,10 +499,42 @@ def test_axis_points_equidistant_on_drawn_scene(drawn):
     assert min(np.linalg.norm(t2 - e1), np.linalg.norm(t2 - e2)) < 0.002
 
 
+@pytest.mark.parametrize(
+    "tilt_deg, corner", [(0.0, 0), (5.0, 1), (10.0, 2), (15.0, 3), (20.0, 2)]
+)
+def test_axis_points_on_tilted_faces(tilt_deg, corner):
+    """A yawed face tilted about a varying axis, with one corner's depth
+    bitten out: the points are the ends of the face's long axis."""
+    intr = BenchConfig().intrinsics
+    a = 0.3 + 1.3 * corner
+    r = (
+        rotation_about([np.cos(a), np.sin(a), 0.0], np.radians(tilt_deg))
+        @ rotation_z(np.radians(-17.0 + 11.0 * corner))
+        @ np.diag([1.0, -1.0, -1.0])
+    )
+    gt = Pose(r, np.array([0.03, -0.02, 1.0]))
+    spec = SceneSpec(
+        FACE, gt, intr, dropout=[(corner, 0.1)], background=[BackgroundPlane(1.5)]
+    )
+    rgb, depth, _, _, _ = render_scene(spec)
+    mask = hsv_threshold(rgb, RED)
+    plane = face_plane(intr, depth, mask)
+    t1, t2 = target_axis_points(fit_quadrilateral(mask), intr, *plane)
+    ends = [gt.transform([-0.15, 0.0, 0.0]), gt.transform([0.15, 0.0, 0.0])]
+    if np.linalg.norm(t1 - ends[0]) > np.linalg.norm(t1 - ends[1]):
+        ends.reverse()
+    x = gt.r[:, 0]
+    for err in (t1 - ends[0], t2 - ends[1]):
+        assert abs(err @ x) < INSET_TOL
+        assert np.linalg.norm(err - (err @ x) * x) < AXIS_TOL
+    assert np.linalg.norm((t1 + t2) / 2.0 - gt.t) < AXIS_TOL
+
+
 def test_axis_points_align_with_major_axis(frontal):
     cloud = deproject_mask(frontal.intr, frontal.depth, frontal.gt.face_mask)
     quad = fit_quadrilateral(frontal.gt.face_mask)
-    t1, t2 = target_axis_points(quad, frontal.intr, frontal.depth)
+    plane = face_plane(frontal.intr, frontal.depth, frontal.gt.face_mask)
+    t1, t2 = target_axis_points(quad, frontal.intr, *plane)
     axis = fit_obb(cloud).axes[0]
     direction = (t2 - t1) / np.linalg.norm(t2 - t1)
     ang = np.degrees(np.arccos(np.clip(abs(direction @ axis), -1.0, 1.0)))
@@ -495,26 +543,42 @@ def test_axis_points_align_with_major_axis(frontal):
 
 def test_axis_points_square_tie_break():
     mask = rect_mask(80, 80, 0.0)
-    depth = DepthImage(np.full((480, 640), 1.0))
     intr = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+    plane = ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     quad = fit_quadrilateral(mask)
-    first = target_axis_points(quad, intr, depth)
-    second = target_axis_points(fit_quadrilateral(mask), intr, depth)
+    first = target_axis_points(quad, intr, *plane)
+    second = target_axis_points(fit_quadrilateral(mask), intr, *plane)
     assert_allclose(first[0], second[0], atol=0.0)
     assert_allclose(first[1], second[1], atol=0.0)
 
 
-def test_axis_points_mirror_across_hole(frontal):
-    """When one midpoint has no depth it is mirrored through the center."""
-    quad = fit_quadrilateral(frontal.gt.face_mask)
-    depth = DepthImage(frontal.depth.data.copy())
-    depth.data[:, :240] = 0.0  # kill depth around the left midpoint
-    t1, t2 = target_axis_points(quad, frontal.intr, depth)
-    assert_allclose(t1, [-0.15, 0.0, 1.0], atol=0.003)
-    assert_allclose(t2, [0.15, 0.0, 1.0], atol=0.003)
+def test_axis_points_ignore_depth_hole(drawn):
+    """A depth hole over one short-edge midpoint only thins the cloud that
+    the plane is fitted to; the points stay where they were."""
+    quad = fit_quadrilateral(drawn.mask)
+    t1, t2 = target_axis_points(
+        quad, drawn.intr, *face_plane(drawn.intr, drawn.depth, drawn.mask)
+    )
+    (x, y), _ = project(drawn.intr, t1)
+    ys, xs = np.mgrid[0 : drawn.intr.height, 0 : drawn.intr.width]
+    hole = (xs - x) ** 2 + (ys - y) ** 2 <= 40.0**2
+    assert np.count_nonzero(hole & (drawn.mask.data != 0)) > 2000
+    depth = DepthImage(drawn.depth.data.copy())
+    depth.data[hole] = 0.0
+    h1, h2 = target_axis_points(
+        quad, drawn.intr, *face_plane(drawn.intr, depth, drawn.mask)
+    )
+    assert np.linalg.norm(h1 - t1) < AXIS_TOL
+    assert np.linalg.norm(h2 - t2) < AXIS_TOL
 
 
-def test_axis_points_no_depth_at_all(frontal):
+def test_axis_points_edge_on_plane(frontal):
+    """A plane seen edge-on, or one behind the camera, meets no corner ray in
+    front of the camera."""
     quad = fit_quadrilateral(frontal.gt.face_mask)
-    with pytest.raises(InvalidDepth):
-        target_axis_points(quad, frontal.intr, DepthImage(np.zeros((480, 640))))
+    for point, normal in (
+        ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+        ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]),
+    ):
+        with pytest.raises(InvalidDepth):
+            target_axis_points(quad, frontal.intr, point, normal)
