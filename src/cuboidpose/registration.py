@@ -9,7 +9,17 @@ per registration on the target's capped search cloud (at most
 `search_points` points, so the table's n^2/2 rows stay bounded): each base's
 annulus is a mask over the table's distances. Each candidate yields a rigid
 fit whose quality is scored by the fraction of source points landing within an
-inlier distance of the target (LCP score). The best-scoring pose wins.
+inlier distance of the target (LCP score), on a fixed sample of the source; a
+candidate stops being scored once its misses show it cannot beat the best so
+far. The best-scoring pose wins.
+
+ICP matches every source point to its nearest target point in each
+iteration. A point moves a fraction of a millimeter per iteration, so
+`_TrackedNearest` re-queries the kd-tree only for the points whose nearest
+target may have changed, and proves the rest unchanged from the two candidates
+and the third-neighbor distance of their last query. The matches, and so the
+poses, scores and iteration counts, are bit for bit those of a full
+`cKDTree.query` in every iteration.
 """
 
 from __future__ import annotations
@@ -29,6 +39,18 @@ from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize, rotation_z
 
 # congruent-set matches gathered per base before the angle test (whole groups)
 _MAX_MATCH_ROWS = 50000
+
+# slack, relative to the largest coordinate seen, by which a tracked nearest
+# neighbor must win before ICP reuses it; distances and drifts round within
+# a few 2**-53 of that coordinate
+_REUSE_MARGIN = 2.0**-40
+
+# a coarse candidate's LCP sample is scored in _LCP_STRIDE chunks, each taking
+# every _LCP_STRIDE-th point, until the candidate can no longer beat the best;
+# the kd-tree search is bounded a factor _LCP_BOUND_SLACK past the distance
+# it counts within, far more than the tree's rounding
+_LCP_STRIDE = 4
+_LCP_BOUND_SLACK = 1.0 + 2.0**-20
 
 
 @dataclass
@@ -302,12 +324,29 @@ def coarse_register(
     )
     sample = src[sample_idx]
 
+    def lcp_hits(pose: Pose, dist: float, floor: int = -1) -> int:
+        """How many sampled source points have a target neighbor within
+        `dist` under `pose`, exactly when that count exceeds `floor`, and
+        some count not above `floor` otherwise: the sample is queried in
+        strided chunks, and the rest is skipped once the misses so far rule
+        out beating `floor`. The search is bounded just past `dist`; a
+        farther neighbor is a miss whatever its distance."""
+        moved = pose.transform(sample)
+        bound = dist * _LCP_BOUND_SLACK
+        misses = 0
+        for k in range(_LCP_STRIDE):
+            d, _ = target_tree.query(moved[k::_LCP_STRIDE], distance_upper_bound=bound)
+            misses += len(d) - int(np.count_nonzero(d <= dist))
+            if len(sample) - misses <= floor:
+                break
+        return len(sample) - misses
+
     def score_at(pose: Pose, dist: float) -> float:
         """LCP score: fraction of sampled source points with a target
         neighbor within `dist` under `pose`."""
-        d, _ = target_tree.query(pose.transform(sample))
-        return float(np.mean(d <= dist))
+        return lcp_hits(pose, dist) / len(sample)
 
+    best_hits = -1
     best_score = -1.0
     best_pose: Pose | None = None
     for attempt in range(params.max_iterations):
@@ -346,9 +385,10 @@ def coarse_register(
                 continue
             # rank at the tight pair tolerance: at the loose inlier radius a
             # pose several millimeters off is indistinguishable from aligned
-            score = score_at(pose, params.eps)
-            if score > best_score:
-                best_score = score
+            hits = lcp_hits(pose, params.eps, best_hits)
+            if hits > best_hits:
+                best_hits = hits
+                best_score = hits / len(sample)
                 best_pose = pose
             if best_score >= params.early_exit_score:
                 break
@@ -378,6 +418,82 @@ def coarse_register(
     return RegistrationResult(pose, final_score, time.perf_counter() - t0)
 
 
+def _distance(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row distances |q - p|, rounded as `cKDTree.query` rounds them:
+    sqrt((dx^2 + dy^2) + dz^2)."""
+    diff = q - p
+    diff *= diff
+    s = diff[:, 0] + diff[:, 1]
+    s += diff[:, 2]
+    return np.sqrt(s, out=s)
+
+
+class _TrackedNearest:
+    """Nearest target point of each row of a query cloud that moves a little
+    between calls, as ICP's source does under its iterated pose. Every call
+    returns exactly what `cKDTree(target).query(q)` returns, distance bits and
+    indices, but re-queries the tree only for the rows whose answer may have
+    changed.
+
+    A row's last real query (k=3, at its anchor) left two candidates and the
+    reach, the distance to the third-nearest target point. No other target
+    point can be nearer to q than reach - |q - anchor|, so the nearer
+    candidate is still the unique nearest while it is closer than that bound
+    and closer than the other candidate, each by `_REUSE_MARGIN` (relative to
+    the largest coordinate seen), which covers every rounding in the
+    comparison. The other rows are re-queried; where a re-query's first two
+    distances tie (within the margin), the tree's k=1 search, whose
+    tie-break can differ from k=3's, gives the answer.
+    """
+
+    def __init__(self, target: np.ndarray):
+        self.target = target
+        self.tree = cKDTree(target)
+        self.scale = float(np.abs(target).max(initial=0.0))
+        self.anchor = None
+
+    def query(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(self.target) < 3:
+            return self.tree.query(q)
+        self.scale = max(self.scale, float(np.abs(q).max(initial=0.0)))
+        margin = _REUSE_MARGIN * self.scale
+        if self.anchor is None:
+            self.anchor = np.empty_like(q)
+            self.near = np.empty((len(q), 2), dtype=np.intp)
+            self.reach = np.empty(len(q))
+            d = np.empty(len(q))
+            idx = np.empty(len(q), dtype=np.intp)
+            stale = np.arange(len(q))
+        else:
+            i1, i2 = self.near[:, 0], self.near[:, 1]
+            d1 = _distance(q, np.take(self.target, i1, axis=0))
+            d2 = _distance(q, np.take(self.target, i2, axis=0))
+            d = np.minimum(d1, d2)
+            idx = np.where(d2 < d1, i2, i1)
+            other = np.maximum(d1, d2)
+            drift = _distance(q, self.anchor)
+            keep = (d + drift < self.reach - margin) & (d + margin < other)
+            stale = np.flatnonzero(~keep)
+        if len(stale):
+            self._requery(q, stale, d, idx, margin)
+        return d, idx
+
+    def _requery(self, q, rows, d, idx, margin) -> None:
+        """Query `rows` of `q` afresh, writing their answer into d and idx and
+        anchoring their candidates and reach at where they are now."""
+        moved = np.take(q, rows, axis=0)
+        dd, ii = self.tree.query(moved, k=3)
+        self.anchor[rows] = moved
+        self.near[rows] = ii[:, :2]
+        self.reach[rows] = dd[:, 2]
+        d[rows] = dd[:, 0]
+        idx[rows] = ii[:, 0]
+        tied = dd[:, 1] - dd[:, 0] <= margin
+        if np.any(tied):
+            rows = rows[tied]
+            d[rows], idx[rows] = self.tree.query(moved[tied])
+
+
 def icp_refine(
     source: PointCloud,
     target: PointCloud,
@@ -391,25 +507,28 @@ def icp_refine(
     Each iteration matches every source point to its nearest target point and
     solves the closed-form least-squares rigid fit. Stops when the mean
     correspondence distance changes by less than `converge_eps` meters.
+    The matches are exactly those of a full kd-tree query per iteration;
+    `_TrackedNearest` re-queries the tree only for the source points whose
+    nearest target point may have changed since their last query.
     """
     if len(source) == 0 or len(target) == 0:
         raise NoCorrespondences("both clouds must be non-empty")
     t0 = time.perf_counter()
     src = source.points
     tgt = target.points
-    tree = cKDTree(tgt)
+    nearest = _TrackedNearest(tgt)
     pose = Pose(np.array(initial.r), np.array(initial.t))
     prev_mean = np.inf
     d = None
     for _ in range(max_iter):
-        d, idx = tree.query(pose.transform(src))
+        d, idx = nearest.query(pose.transform(src))
         mean_d = float(d.mean())
         if mean_d < converge_eps or abs(prev_mean - mean_d) < converge_eps:
             break
         prev_mean = mean_d
-        fit = kabsch(src, tgt[idx])
+        fit = kabsch(src, np.take(tgt, idx, axis=0))
         pose = Pose(orthonormalize(fit.r), fit.t)
     if d is None:
-        d, _ = tree.query(pose.transform(src))
+        d, _ = nearest.query(pose.transform(src))
     score = float(np.mean(d <= inlier_dist))
     return RegistrationResult(pose, score, time.perf_counter() - t0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -14,13 +16,15 @@ from cuboidpose import (
     pairs_in_range,
     voxel_downsample,
 )
+from cuboidpose import bench, registration
 from cuboidpose.bench import BenchConfig, draw_trial, run_trial, scene_spec_for
 from cuboidpose.camera import deproject_mask
 from cuboidpose.correction import CuboidSpec
 from cuboidpose.errors import RegistrationFailed
-from cuboidpose.geometry import rotation_about, rotation_angle, rotation_z
+from cuboidpose.geometry import orthonormalize, rotation_about, rotation_angle, rotation_z
 from cuboidpose.registration import (
     RegistrationParams,
+    _TrackedNearest,
     _annulus,
     _congruent_candidates,
     _pair_table,
@@ -312,6 +316,210 @@ def test_icp_pose_orthonormal():
     assert np.linalg.det(res.pose.r) == pytest.approx(1.0, abs=1e-9)
 
 
+# ---------------------------------------------------------------- tracked nearest neighbors
+
+def assert_same_as_tree(nearest, tree, q):
+    """One call of the tracker returns the kd-tree's answer bit for bit."""
+    d, idx = nearest.query(q)
+    want_d, want_idx = tree.query(q)
+    assert d.dtype == want_d.dtype and idx.dtype == want_idx.dtype
+    assert d.tobytes() == want_d.tobytes()
+    assert idx.tobytes() == want_idx.tobytes()
+
+
+MOTIONS = {"still": (0.0, 0.0), "small": (1e-3, 1e-3), "large": (1.0, 0.5)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_target=st.integers(3, 300),
+    n_dup=st.integers(0, 40),
+    n_source=st.integers(1, 200),
+    steps=st.lists(st.sampled_from(sorted(MOTIONS)), min_size=1, max_size=12),
+)
+def test_tracked_nearest_matches_kdtree_under_motion(seed, n_target, n_dup, n_source, steps):
+    """A chain of small rigid motions, ICP's case, or large ones or none: each
+    call equals `cKDTree.query`, also where the target repeats points, whose
+    equal distances leave the pick to the tree's tie-break."""
+    rng = np.random.default_rng(seed)
+    tgt = rng.uniform(-1.0, 1.0, size=(n_target, 3))
+    tgt = np.concatenate([tgt, tgt[rng.integers(n_target, size=n_dup)]])
+    tgt = tgt[rng.permutation(len(tgt))]
+    src = rng.uniform(-1.2, 1.2, size=(n_source, 3))
+    tree = cKDTree(tgt)
+    nearest = _TrackedNearest(tgt)
+    pose = Pose.identity()
+    assert_same_as_tree(nearest, tree, src)
+    for step in steps:
+        rot, shift = MOTIONS[step]
+        turn = rotation_about(rng.normal(size=3), rng.uniform(-rot, rot))
+        pose = Pose(turn, rng.uniform(-shift, shift, 3)).compose(pose)
+        assert_same_as_tree(nearest, tree, pose.transform(src))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2, 5),
+    n_dup=st.integers(0, 10),
+    steps=st.lists(st.sampled_from(["tied", "near", "small", "large"]), min_size=1, max_size=8),
+)
+@example(seed=0, size=4, n_dup=0, steps=["tied"])
+@example(seed=0, size=4, n_dup=0, steps=["near", "tied"])
+def test_tracked_nearest_matches_kdtree_at_tied_lattice_midpoints(seed, size, n_dup, steps):
+    """An integer lattice queried at the midpoints of 2, 4 or 8 of its points,
+    where distances tie exactly, and near them. A k=3 query breaks such ties
+    differently from the k=1 query that `cKDTree.query` makes, and a point
+    moved onto a tie from nearby holds two candidates at equal distance."""
+    rng = np.random.default_rng(seed)
+    axis = np.arange(size, dtype=float)
+    tgt = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    tgt = np.concatenate([tgt, tgt[rng.integers(len(tgt), size=n_dup)]])
+    tgt = tgt[rng.permutation(len(tgt))]
+    mids = rng.integers(0, size - 1, size=(200, 3)) + 0.5 * rng.integers(0, 2, size=(200, 3))
+    tree = cKDTree(tgt)
+    nearest = _TrackedNearest(tgt)
+    q = mids
+    for step in steps:
+        if step == "tied":
+            q = mids
+        elif step == "near":
+            q = mids + rng.normal(scale=1e-3, size=mids.shape)
+        else:
+            rot, shift = MOTIONS[step]
+            q = Pose(rotation_about(rng.normal(size=3), rot), np.full(3, shift)).transform(q)
+        assert_same_as_tree(nearest, tree, q)
+
+
+def test_tracked_nearest_keeps_a_margin():
+    """Rows anchored at a = (k+m)(1,1,0), where the nearest target points are
+    c2 just above a, then c = (2k,0,0), then the reach t3 = 0, and moved to
+    q = k(1,1,0), straight toward t3. At q, c and t3 tie exactly (both
+    sqrt(2k^2)), and in exact arithmetic c sits at exactly reach - drift. The
+    drift m*sqrt(2) and reach (k+m)*sqrt(2) round separately, so for some
+    (k, m) the comparison alone would reuse c where the kd-tree picks t3."""
+    k, m = (a.ravel().astype(float) for a in np.mgrid[1:25, 1:25])
+    m += k
+    rows = len(k)
+    diag = np.array([1.0, 1.0, 0.0])
+    offset = np.column_stack([1000.0 * np.arange(rows), np.zeros((rows, 2))])
+    anchor = (k + m)[:, None] * diag + offset
+    c = np.column_stack([2.0 * k, np.zeros((rows, 2))]) + offset
+    c2 = anchor + np.array([0.0, 0.0, 0.25])
+    for tgt in (np.concatenate([c, c2, offset]), np.concatenate([offset, c2, c])):
+        tree = cKDTree(tgt)
+        nearest = _TrackedNearest(tgt)
+        assert_same_as_tree(nearest, tree, anchor)
+        assert_same_as_tree(nearest, tree, k[:, None] * diag + offset)
+
+
+def test_tracked_nearest_tiny_targets():
+    """Fewer than three target points leave no reach; the tree answers."""
+    rng = np.random.default_rng(13)
+    for n in (1, 2):
+        tgt = rng.normal(size=(n, 3))
+        tree = cKDTree(tgt)
+        nearest = _TrackedNearest(tgt)
+        for _ in range(3):
+            assert_same_as_tree(nearest, tree, rng.normal(size=(20, 3)))
+
+
+def icp_refine_oracle(source, target, initial, max_iter=60, converge_eps=1e-6, inlier_dist=0.008):
+    """ICP with a full kd-tree query every iteration, kept here as the oracle:
+    the pose, the score and the number of rigid fits (iterations)."""
+    src = source.points
+    tgt = target.points
+    tree = cKDTree(tgt)
+    pose = Pose(np.array(initial.r), np.array(initial.t))
+    prev_mean = np.inf
+    d = None
+    fits = 0
+    for _ in range(max_iter):
+        d, idx = tree.query(pose.transform(src))
+        mean_d = float(d.mean())
+        if mean_d < converge_eps or abs(prev_mean - mean_d) < converge_eps:
+            break
+        prev_mean = mean_d
+        fit = kabsch(src, tgt[idx])
+        fits += 1
+        pose = Pose(orthonormalize(fit.r), fit.t)
+    if d is None:
+        d, _ = tree.query(pose.transform(src))
+    return pose, float(np.mean(d <= inlier_dist)), fits
+
+
+# criterion 01's trial config, and criteria 02/03's: 10 % dropout, denser clouds
+PLAIN_TRIALS = dict(
+    inj_yaw_deg=5.0,
+    inj_dt_mm=10.0,
+    noise_sigma_mm=1.0,
+    dropout_frac=0.0,
+    voxel_leaf_m=0.006,
+    pitch_m=0.006,
+)
+DENSE_DROPOUT_TRIALS = dict(PLAIN_TRIALS, dropout_frac=0.1, voxel_leaf_m=0.003, pitch_m=0.0028)
+
+
+@pytest.mark.parametrize(
+    "trials", [PLAIN_TRIALS, DENSE_DROPOUT_TRIALS], ids=["plain", "dense_dropout"]
+)
+def test_icp_matches_full_query_oracle(trials, monkeypatch):
+    """On seeded bench scenes, ICP's pose, score and iteration count equal
+    the full-query loop's bit for bit, and the tracker re-queries well under
+    half of the point-iterations."""
+    config = BenchConfig(master_seed=11, **trials)
+    ref = make_reference_face(config.cuboid, config.pitch_m)
+    fits = [0]
+    requeried = [0]
+    real_kabsch = registration.kabsch
+    real_requery = _TrackedNearest._requery
+
+    def counted_kabsch(*args):
+        fits[0] += 1
+        return real_kabsch(*args)
+
+    def counted_requery(self, q, rows, *rest):
+        requeried[0] += len(rows)
+        return real_requery(self, q, rows, *rest)
+
+    def checked(source, target, start, **kwargs):
+        fits[0] = 0
+        got = real_icp(source, target, start, **kwargs)
+        pose, score, want_fits = icp_refine_oracle(source, target, start, **kwargs)
+        assert got.pose.r.tobytes() == pose.r.tobytes()
+        assert got.pose.t.tobytes() == pose.t.tobytes()
+        assert got.score == score
+        assert fits[0] == want_fits > 0
+        calls.append((len(source), want_fits))
+        return got
+
+    real_icp = bench.icp_refine
+    calls = []
+    monkeypatch.setattr(registration, "kabsch", counted_kabsch)
+    monkeypatch.setattr(_TrackedNearest, "_requery", counted_requery)
+    monkeypatch.setattr(bench, "icp_refine", checked)
+    for trial in range(3):
+        run_trial(config, ref, trial)
+    assert len(calls) == 3
+    # one query per fit plus the query that stops the loop
+    point_iterations = sum(n * (k + 1) for n, k in calls)
+    assert requeried[0] < 0.5 * point_iterations
+
+
+def test_icp_without_iterations_matches_oracle():
+    ref = make_reference_face(FACE, 0.006)
+    rng = np.random.default_rng(14)
+    gt = Pose(rotation_about([0.2, 0.1, 1.0], 0.3), np.array([0.01, 0.0, 1.0]))
+    target = PointCloud(gt.transform(face_cloud(rng, 5_000)))
+    start = inject_pose_error(gt, 3.0, np.array([0.002, 0.001, -0.002]))
+    for max_iter in (0, 1, 5):
+        got = icp_refine(ref.cloud, target, start, max_iter=max_iter)
+        pose, score, _ = icp_refine_oracle(ref.cloud, target, start, max_iter=max_iter)
+        assert got.pose.matrix.tobytes() == pose.matrix.tobytes()
+        assert got.score == score
+
+
 # ---------------------------------------------------------------- coarse
 
 @pytest.fixture(scope="module")
@@ -363,3 +571,16 @@ def test_coarse_register_needs_points():
     ref = make_reference_face(FACE, 0.006)
     with pytest.raises(ValueError):
         coarse_register(ref.cloud, PointCloud(np.zeros((10, 3))), RegistrationParams())
+
+
+def test_coarse_register_early_rejection_is_exact(rendered_target, monkeypatch):
+    """Scoring each candidate on the whole sample in one query, so that none
+    is rejected early, gives the same pose and score bits."""
+    target, _, scene_seed = rendered_target
+    ref = make_reference_face(FACE, 0.006)
+    params = RegistrationParams(seed=scene_seed, early_exit_score=1.1, max_iterations=40)
+    chunked = coarse_register(ref.cloud, target, params)
+    monkeypatch.setattr(registration, "_LCP_STRIDE", 1)
+    whole = coarse_register(ref.cloud, target, params)
+    assert chunked.pose.matrix.tobytes() == whole.pose.matrix.tobytes()
+    assert chunked.score == whole.score
