@@ -65,6 +65,7 @@ from .segmentation import (
     RoiSpec,
     fit_quadrilateral,
     hsv_threshold,
+    largest_component,
     region_growing,
     roi_filter,
     target_axis_points,
@@ -118,6 +119,7 @@ __all__ = [
     "inject_pose_error",
     "inverse_project",
     "kabsch",
+    "largest_component",
     "make_reference_face",
     "pairs_in_range",
     "project",

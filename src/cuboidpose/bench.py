@@ -17,7 +17,7 @@ from .correction import (
     correct_pose,
     make_reference_face,
 )
-from .errors import CuboidPoseError, NoRoiMatch, ParseError, PipelineError
+from .errors import CuboidPoseError, ParseError, PipelineError
 from .filters import statistical_outlier_removal, voxel_downsample
 from .geometry import (
     Pose,
@@ -34,6 +34,7 @@ from .segmentation import (
     RoiSpec,
     fit_quadrilateral,
     hsv_threshold,
+    largest_component,
     roi_filter,
     target_axis_points,
 )
@@ -148,11 +149,13 @@ def _stage(name: str):
 def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
     """The front end: (face segment, axis points t1 and t2, outline quad).
 
-    Thresholds the RGB image, sizes the face on the deprojected mask, voxels
+    Thresholds the RGB image and keeps the mask's largest connected component,
+    so a same-coloured speck elsewhere in the frame reaches neither the cloud
+    nor the outline. It sizes the face on the deprojected component, voxels
     that cloud (then drops statistical outliers when `use_sor` is on) into
     the segment, and takes the axis points where the pixel rays of the
     outline quadrilateral's corners meet the face plane. That plane runs
-    through the mean of the deprojected mask and is normal to the smallest
+    through the mean of the deprojected component and is normal to the smallest
     axis of the ROI gate's box; the box's center would follow the noise
     extremes along the normal. The ROI gate runs before voxelling because
     where the noisy face crosses a voxel layer the centroids come in denser
@@ -161,11 +164,7 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
     """
     with _stage("hsv_threshold"):
         mask = hsv_threshold(rgb, config.hsv)
-        if mask.count() < config.min_mask_pixels:
-            raise NoRoiMatch(
-                f"color mask has {mask.count()} pixels, "
-                f"need {config.min_mask_pixels}"
-            )
+        mask = largest_component(mask, config.min_mask_pixels)
     with _stage("deproject"):
         cloud = deproject_mask(intr, depth, mask)
     with _stage("roi_filter"):

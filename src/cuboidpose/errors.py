@@ -51,10 +51,6 @@ class InsufficientNeighbors(CuboidPoseError):
 
 # segmentation
 
-class MissingNormals(CuboidPoseError):
-    """Operation needs per-point normals (and curvatures) that are absent."""
-
-
 class NoComponent(CuboidPoseError):
     """Mask contains no connected component of the required size."""
 

@@ -14,8 +14,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """One point per occupied voxel: the centroid of that voxel's members.
 
     The grid is anchored at the coordinate origin (cell index floor(p / leaf)).
-    Output order is lexicographic by voxel index. Only the points are kept:
-    normals, colors and curvatures of the input are dropped.
+    Output order is lexicographic by voxel index.
 
     Voxels are grouped by a lexsort of the integer cell indices, so the cells
     come out in that order without a combined linear key (which would overflow
@@ -53,12 +52,15 @@ def statistical_outlier_removal(
     dists, _ = tree.query(cloud.points, k=k + 1)
     mean_d = dists[:, 1:].mean(axis=1)
     threshold = mean_d.mean() + stddev_mult * mean_d.std()
-    return cloud.subset(mean_d <= threshold)
+    return PointCloud(cloud.points[mean_d <= threshold])
 
 
-def estimate_normals(cloud: PointCloud, radius: float = 0.015) -> PointCloud:
+def estimate_normals(
+    cloud: PointCloud, radius: float = 0.015
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-point plane normals from radius neighborhoods, oriented toward the
-    camera origin, plus surface-variation curvature.
+    camera origin, and surface-variation curvatures: an (n, 3) and an (n,)
+    array, row i for point i.
 
     Points with fewer than 3 neighbors are flagged with NaN normal and
     curvature instead of raising; downstream steps skip them.
@@ -83,4 +85,4 @@ def estimate_normals(cloud: PointCloud, radius: float = 0.015) -> PointCloud:
         normals[i] = normal
         total = evals.sum()
         curvatures[i] = evals[0] / total if total > 0 else 0.0
-    return PointCloud(pts.copy(), normals, cloud.colors, curvatures)
+    return normals, curvatures

@@ -22,43 +22,15 @@ ORTHONORMAL_TOL = 1e-9
 
 @dataclass
 class PointCloud:
-    """Ordered points with optional per-point normals, colors and curvatures.
-
-    All attachments are parallel arrays: row i always describes point i.
-    """
+    """Ordered points, coerced to an (n, 3) float64 array."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
-    colors: np.ndarray | None = None
-    curvatures: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        n = len(self.points)
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64).reshape(-1, 3)
-            if len(self.normals) != n:
-                raise ValueError("normals must parallel points")
-        if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.uint8).reshape(-1, 3)
-            if len(self.colors) != n:
-                raise ValueError("colors must parallel points")
-        if self.curvatures is not None:
-            self.curvatures = np.asarray(self.curvatures, dtype=np.float64).reshape(-1)
-            if len(self.curvatures) != n:
-                raise ValueError("curvatures must parallel points")
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def subset(self, index) -> "PointCloud":
-        """New cloud restricted to `index` (bool mask or integer indices)."""
-        return PointCloud(
-            self.points[index],
-            None if self.normals is None else self.normals[index],
-            None if self.colors is None else self.colors[index],
-            None if self.curvatures is None else self.curvatures[index],
-        )
 
 
 @dataclass
@@ -130,20 +102,17 @@ class Obb:
 
 
 def apply_transform(pose: Pose, cloud: PointCloud) -> PointCloud:
-    """Transform every point (and rotate normals) into the pose's target frame.
+    """Transform every point into the pose's target frame.
 
-    The products run in `np.einsum`, not in BLAS as `Pose.transform` does: on
+    The product runs in `np.einsum`, not in BLAS as `Pose.transform` does: on
     a large cloud BLAS starts worker threads for a 3-wide product, and they
     keep spinning after the call returns and slow the caller's next few
     hundred microseconds (such as `correct_pose`'s timed estimate) by up to
     5x on a 2-core host. The results agree with `Pose.transform` to rounding.
     """
-    normals = None
-    if cloud.normals is not None:
-        normals = np.einsum("ij,kj->ik", cloud.normals, pose.r)
     points = np.einsum("ij,kj->ik", cloud.points, pose.r)
     points += pose.t
-    return PointCloud(points, normals, cloud.colors, cloud.curvatures)
+    return PointCloud(points)
 
 
 def fit_obb(cloud: PointCloud) -> Obb:

@@ -6,7 +6,7 @@ computes the affine-invariant intersection ratios of its two segments, and
 looks for congruent 4-point sets in the target among point pairs with matching
 segment lengths. Those pairs are read from one pair-distance table, built once
 per registration on the target's capped search cloud (at most
-`search_points` points, so the table's n^2/2 rows stay bounded): each base's
+`_SEARCH_POINTS` points, so the table's n^2/2 rows stay bounded): each base's
 annulus is a mask over the table's distances. Each candidate yields a rigid
 fit whose quality is scored by the fraction of source points landing within an
 inlier distance of the target (LCP score), on a fixed sample of the source; a
@@ -40,6 +40,17 @@ from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize, rotation_z
 # congruent-set matches gathered per base before the angle test (whole groups)
 _MAX_MATCH_ROWS = 50000
 
+# the coarse search's fixed settings
+_BASE_SPAN_FRAC = 0.6  # minimum base width, fraction of source diagonal
+_COPLANAR_EPS = 0.004  # how far apart a base's two lines may pass, meters (x2)
+_ANGLE_TOL_DEG = 7.0  # crossing-angle tolerance of a congruent set
+_LCP_SAMPLE = 400  # source points used for scoring
+_PAIR_CAP = 30000  # a base whose annulus holds more pairs is skipped
+_PAIR_SUBSAMPLE = 2500  # pairs kept per base when the annulus overflows
+_SEARCH_POINTS = 1000  # target size cap for the candidate search
+_REFINE_ROUNDS = 10  # re-fit passes on the winning pose
+_POLISH_KEEP = 0.97  # correspondence fraction kept per pass
+
 # slack, relative to the largest coordinate seen, by which a tracked nearest
 # neighbor must win before ICP reuses it; distances and drifts round within
 # a few 2**-53 of that coordinate
@@ -62,16 +73,7 @@ class RegistrationParams:
     max_iterations: int = 200       # base attempts before giving up
     early_exit_score: float = 0.9
     min_score: float = 0.3
-    base_span_frac: float = 0.6     # minimum base width, fraction of source diagonal
-    coplanar_eps: float = 0.004
-    angle_tol_deg: float = 7.0
     max_candidates: int = 64        # congruent sets scored per base
-    lcp_sample: int = 400           # source points used for scoring
-    pair_cap: int = 30000
-    pair_subsample: int = 2500      # pairs kept per base when the annulus overflows
-    search_points: int = 1000       # target size cap for the candidate search
-    refine_rounds: int = 10         # re-fit passes on the winning pose
-    polish_keep: float = 0.97       # correspondence fraction kept per pass
     seed: int = 0
 
 
@@ -145,11 +147,11 @@ def _line_intersection_ratios(a, b, c, d, coplanar_eps):
     return float(s), float(t), (p1 + p2) / 2.0
 
 
-def _sample_base(pts, diag, rng, params, attempt):
+def _sample_base(pts, diag, rng, attempt):
     """One deterministic attempt at a wide coplanar 4-point base. Returns
     (indices, ratio1, ratio2, crossing angle) or None."""
     n = len(pts)
-    span = diag * max(params.base_span_frac, 0.9 - 0.01 * attempt)
+    span = diag * max(_BASE_SPAN_FRAC, 0.9 - 0.01 * attempt)
     ia = int(rng.integers(n))
     d_a = np.linalg.norm(pts - pts[ia], axis=1)
     wide = np.nonzero(d_a >= span)[0]
@@ -170,7 +172,7 @@ def _sample_base(pts, diag, rng, params, attempt):
     cross_angle = np.degrees(np.arccos(min(1.0, abs(float(u @ v)))))
     if cross_angle < 15.0:
         return None
-    hit = _line_intersection_ratios(a, b, c, d, params.coplanar_eps)
+    hit = _line_intersection_ratios(a, b, c, d, _COPLANAR_EPS)
     if hit is None:
         return None
     r1, r2, _ = hit
@@ -216,12 +218,12 @@ def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg, params):
     u2 = d2[i2] / np.linalg.norm(d2[i2], axis=1, keepdims=True)
     ang = np.degrees(np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0)))
     ang_err = np.abs(ang - alpha_deg)
-    keep = ang_err <= params.angle_tol_deg
+    keep = ang_err <= _ANGLE_TOL_DEG
     if not np.any(keep):
         return none
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
-    badness = e_dist / params.eps + ang_err / params.angle_tol_deg
+    badness = e_dist / params.eps + ang_err / _ANGLE_TOL_DEG
     order = np.argsort(badness, kind="stable")[: params.max_candidates]
     a, b = i1[order], i2[order]
     return np.column_stack((s1[a], e1[a], s2[b], e2[b]))
@@ -301,7 +303,7 @@ def coarse_register(
     """Estimate the rigid transform taking `source` onto `target`.
 
     Candidate 4-point sets are searched on a voxel-decimated copy of the
-    target (at most `params.search_points` points); the winning pose is then
+    target (at most `_SEARCH_POINTS` points); the winning pose is then
     scored and polished against the full target. Deterministic for a fixed
     `params.seed`. Raises RegistrationFailed when no candidate reaches
     `params.min_score`.
@@ -316,11 +318,11 @@ def coarse_register(
     rng = np.random.default_rng(params.seed)
     obb: Obb = fit_obb(source)
     diag = 2.0 * float(np.linalg.norm(obb.half_extents))
-    spts = _search_cloud(target, params.search_points).points
+    spts = _search_cloud(target, _SEARCH_POINTS).points
     table = _pair_table(spts)
     target_tree = cKDTree(tgt)
     sample_idx = np.unique(
-        np.linspace(0, len(src) - 1, min(params.lcp_sample, len(src))).astype(int)
+        np.linspace(0, len(src) - 1, min(_LCP_SAMPLE, len(src))).astype(int)
     )
     sample = src[sample_idx]
 
@@ -350,27 +352,27 @@ def coarse_register(
     best_score = -1.0
     best_pose: Pose | None = None
     for attempt in range(params.max_iterations):
-        base = _sample_base(src, diag, rng, params, attempt)
+        base = _sample_base(src, diag, rng, attempt)
         if base is None:
             continue
         (ia, ib, ic, idd), r1, r2, alpha = base
         len1 = float(np.linalg.norm(src[ib] - src[ia]))
         len2 = float(np.linalg.norm(src[idd] - src[ic]))
         pairs1 = _annulus(table, len1, params.eps)
-        if len(pairs1) == 0 or len(pairs1) > params.pair_cap:
+        if len(pairs1) == 0 or len(pairs1) > _PAIR_CAP:
             continue
         pairs2 = _annulus(table, len2, params.eps)
-        if len(pairs2) == 0 or len(pairs2) > params.pair_cap:
+        if len(pairs2) == 0 or len(pairs2) > _PAIR_CAP:
             continue
         # a gridded target concentrates pair distances at a few lattice
         # values, flooding the annulus; one congruent hit is enough, so cap
         # the per-base workload with a seeded subsample
-        if len(pairs1) > params.pair_subsample:
-            keep = rng.choice(len(pairs1), params.pair_subsample, replace=False)
+        if len(pairs1) > _PAIR_SUBSAMPLE:
+            keep = rng.choice(len(pairs1), _PAIR_SUBSAMPLE, replace=False)
             keep.sort()
             pairs1 = pairs1[keep]
-        if len(pairs2) > params.pair_subsample:
-            keep = rng.choice(len(pairs2), params.pair_subsample, replace=False)
+        if len(pairs2) > _PAIR_SUBSAMPLE:
+            keep = rng.choice(len(pairs2), _PAIR_SUBSAMPLE, replace=False)
             keep.sort()
             pairs2 = pairs2[keep]
         cands = _congruent_candidates(spts, pairs1, pairs2, r1, r2, alpha, params)
@@ -405,9 +407,9 @@ def coarse_register(
     # overhang that carries the in-plane restoring signal survives the cut; an
     # absolute distance gate cannot separate the two
     pose = best_pose
-    for _ in range(params.refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         d, idx = target_tree.query(pose.transform(src))
-        inl = d <= np.quantile(d, params.polish_keep)
+        inl = d <= np.quantile(d, _POLISH_KEEP)
         if np.count_nonzero(inl) < 4:
             break
         pose = kabsch(src[inl], tgt[idx[inl]])

@@ -14,7 +14,6 @@ from .camera import CameraIntrinsics, MaskImage, back_project
 from .errors import (
     DegenerateCloud,
     InvalidDepth,
-    MissingNormals,
     NoComponent,
     NoRoiMatch,
     NotQuadrilateralLike,
@@ -134,24 +133,33 @@ def hsv_threshold(rgb: np.ndarray, rng: HsvRange) -> MaskImage:
 
 def region_growing(
     cloud: PointCloud,
+    normals: np.ndarray,
+    curvatures: np.ndarray,
     angle_thresh_deg: float = 5.0,
     curvature_thresh: float = 0.03,
     min_cluster: int = 200,
     neighbors: int = 30,
 ) -> list[np.ndarray]:
-    """Cluster a cloud into smooth regions.
+    """Cluster a cloud into smooth regions, given each point's normal and
+    curvature (as `estimate_normals` returns them).
 
     Seeds are taken in ascending curvature order (ties by index). A neighbor
     joins a cluster when its normal is within `angle_thresh_deg` of the point
     it is grown from, and itself continues the growth only when its curvature
     is at most `curvature_thresh`. Clusters below `min_cluster` points are
-    discarded. Returns sorted index arrays, mutually disjoint.
+    discarded. Returns sorted index arrays, mutually disjoint. Raises
+    ValueError unless `normals` is (n, 3) and `curvatures` (n,) for n points.
     """
-    if cloud.normals is None or cloud.curvatures is None:
-        raise MissingNormals("region growing needs normals and curvatures")
+    n = len(cloud)
+    normals = np.asarray(normals, dtype=np.float64)
+    curvatures = np.asarray(curvatures, dtype=np.float64)
+    if normals.shape != (n, 3) or curvatures.shape != (n,):
+        raise ValueError(
+            f"need (n, 3) normals and (n,) curvatures for n={n} points, got "
+            f"{normals.shape} and {curvatures.shape}"
+        )
     pts = cloud.points
-    n = len(pts)
-    valid = np.all(np.isfinite(cloud.normals), axis=1) & np.isfinite(cloud.curvatures)
+    valid = np.all(np.isfinite(normals), axis=1) & np.isfinite(curvatures)
     k = min(neighbors + 1, n)
     tree = cKDTree(pts)
     _, nbrs = tree.query(pts, k=k)
@@ -159,7 +167,7 @@ def region_growing(
         nbrs = nbrs[:, None]
     cos_thresh = np.cos(np.radians(angle_thresh_deg))
     labels = np.full(n, -1, dtype=np.int64)
-    curv = np.where(valid, cloud.curvatures, np.inf)
+    curv = np.where(valid, curvatures, np.inf)
     order = np.argsort(curv, kind="stable")
     clusters: list[list[int]] = []
     for seed in order:
@@ -171,15 +179,15 @@ def region_growing(
         queue = deque([int(seed)])
         while queue:
             p = queue.popleft()
-            np_normal = cloud.normals[p]
+            np_normal = normals[p]
             for q in nbrs[p]:
                 q = int(q)
                 if labels[q] != -1 or not valid[q]:
                     continue
-                if np_normal @ cloud.normals[q] >= cos_thresh:
+                if np_normal @ normals[q] >= cos_thresh:
                     labels[q] = cid
                     members.append(q)
-                    if cloud.curvatures[q] <= curvature_thresh:
+                    if curvatures[q] <= curvature_thresh:
                         queue.append(q)
         clusters.append(members)
     return [np.array(sorted(m)) for m in clusters if len(m) >= min_cluster]
@@ -281,36 +289,55 @@ def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
     return corners
 
 
-def fit_quadrilateral(
-    mask: MaskImage, min_area: int = 100, refine: bool = True
-) -> Quadrilateral2D:
-    """Quadrilateral enclosing the largest connected mask component.
-
-    The convex hull of the component's pixels is reduced to 4 vertices by
-    repeatedly replacing the edge whose removal grows the area least, then
-    optionally polished to subpixel edges. Fails when no component reaches
-    `min_area` pixels or when the reduction changes the hull area by more
-    than 15 percent.
-    """
-    # Label, collect and erode on the mask's bounding box only. Raster order,
-    # and with it label numbering, is that of the full frame, and erosion's
-    # zero border equals the empty pixels outside the box.
-    binary = mask.data != 0
+def _box(binary: np.ndarray) -> tuple[slice, slice]:
+    """Row and column slices of the set pixels' bounding box."""
     rows = np.flatnonzero(binary.any(axis=1))
     if len(rows) == 0:
         raise NoComponent("mask is empty")
     cols = np.flatnonzero(binary.any(axis=0))
-    y0, x0 = int(rows[0]), int(cols[0])
-    binary = binary[y0 : rows[-1] + 1, x0 : cols[-1] + 1]
-    labeled, _ = ndimage.label(binary, structure=np.ones((3, 3), dtype=int))
+    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
+
+def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
+    """The mask's largest 8-connected component, alone in a mask of the same
+    size. Raises NoComponent when the mask is empty or that component has
+    fewer than `min_area` pixels.
+
+    Labelling runs on the mask's bounding box only. Raster order, and with it
+    label numbering (the first of equal-sized components wins), is that of
+    the full frame.
+    """
+    box = _box(mask.data != 0)
+    labeled, _ = ndimage.label(mask.data[box], structure=np.ones((3, 3), dtype=int))
     sizes = np.bincount(labeled.ravel())[1:]
     biggest = int(np.argmax(sizes)) + 1
     if sizes[biggest - 1] < min_area:
         raise NoComponent(
             f"largest component has {sizes[biggest - 1]} px, need {min_area}"
         )
-    ys, xs = np.nonzero(labeled == biggest)
-    pts = np.column_stack([xs + x0, ys + y0]).astype(np.float64)
+    data = np.zeros_like(mask.data)
+    np.multiply(labeled == biggest, 255, out=data[box], dtype=np.uint8)
+    return MaskImage(data)
+
+
+def fit_quadrilateral(mask: MaskImage, min_area: int = 100) -> Quadrilateral2D:
+    """Quadrilateral enclosing the largest connected mask component.
+
+    The convex hull of the component's boundary pixels is reduced to 4
+    vertices by repeatedly replacing the edge whose removal grows the area
+    least, then polished to subpixel edges over the same pixels. Fails when
+    no component reaches `min_area` pixels or when the reduction changes the
+    hull area by more than 15 percent.
+    """
+    # An interior pixel (all four neighbours set) is the midpoint of two set
+    # pixels, so it is never a hull vertex: the boundary has the component's
+    # hull. Erosion runs on the component's box, whose zero border equals the
+    # empty pixels outside it, and the pixels come in full-frame raster order.
+    component = largest_component(mask, min_area).data != 0
+    rows, cols = _box(component)
+    component = component[rows, cols]
+    by, bx = np.nonzero(component & ~ndimage.binary_erosion(component))
+    pts = np.column_stack([bx + cols.start, by + rows.start]).astype(np.float64)
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
@@ -333,14 +360,9 @@ def fit_quadrilateral(
         )
     if _shoelace(poly) < 0:
         poly = poly[::-1]
-    if refine:
-        component = labeled == biggest
-        interior = ndimage.binary_erosion(component)
-        by, bx = np.nonzero(component & ~interior)
-        boundary = np.column_stack([bx + x0, by + y0]).astype(np.float64)
-        polished = _refine_quad(poly, boundary)
-        if polished is not None:
-            poly = polished
+    polished = _refine_quad(poly, pts)
+    if polished is not None:
+        poly = polished
     # start at the corner nearest the image origin, ties by row then column
     key = np.lexsort((poly[:, 0], poly[:, 1], (poly ** 2).sum(axis=1)))
     poly = np.roll(poly, -int(key[0]), axis=0)

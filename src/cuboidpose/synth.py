@@ -6,14 +6,14 @@ deciding visibility. Depth noise is applied along the viewing ray, then
 quantized to whole millimeters exactly as a 16-bit sensor would report it.
 
 Full-frame work runs on the pixel axis: colours are painted one channel at a
-time and the cloud is cut from the flattened frame with `np.compress`, so no
-step broadcasts, masks or gathers over the 3-wide colour axis. The noise, the
-quantization and the cloud go one block of rows at a time, in place or
-straight into the returned arrays, and the face's ray casting keeps its
-intermediates to the face's pixel box; so a render allocates little beyond
-what it returns (about 6 MB over 37 MB for a 1280x720 scene). The labeled
-cloud is read only by the benchmark tracer and the tests; the pipeline uses
-the rgb, depth and mask images.
+time and the cloud's points are cut from the flattened frame with
+`np.compress`, so no step broadcasts, masks or gathers over the 3-wide colour
+axis. The noise, the quantization and the cloud go one block of rows at a
+time, in place or straight into the returned arrays, and the face's ray
+casting keeps its intermediates to the face's pixel box; so a render
+allocates little beyond what it returns (about 5 MB over 33 MB for a 1280x720
+scene). The cloud is read only by the benchmark tracer and the tests; the
+pipeline uses the rgb, depth and mask images.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from .camera import CameraIntrinsics, DepthImage, MaskImage, back_project
 from .correction import CuboidSpec
 from .errors import FaceOutOfView, InvalidSpec
 from .geometry import PointCloud, Pose, rotation_z
-
-LABEL_FACE = 0
-LABEL_BACKGROUND = 1
 
 # Rows per block of the noise, quantization and cloud passes: a 1280-wide
 # block's back-projected grid is 2 MB, small next to the 37 MB a scene returns.
@@ -64,10 +61,6 @@ class GroundTruth:
 
     pose: Pose
     face_mask: MaskImage
-    labels: np.ndarray  # per point of the rendered cloud
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int8).reshape(-1)
 
 
 def _validate(spec: SceneSpec) -> None:
@@ -105,23 +98,21 @@ def _paint(rgb: np.ndarray, color, where: np.ndarray | None = None) -> None:
             np.copyto(rgb[..., c], color[c], where=where)
 
 
-def _draw_background(
-    spec: SceneSpec, depth: np.ndarray, surface: np.ndarray, rgb: np.ndarray
-) -> None:
+def _draw_background(spec: SceneSpec, depth: np.ndarray, rgb: np.ndarray) -> None:
     """Z-buffer every background plane into the frame; the nearest one wins
     whatever the drawing order."""
     for bp in spec.background:
         closer = (depth == 0) | (bp.depth < depth)
         np.copyto(depth, bp.depth, where=closer)
-        np.copyto(surface, LABEL_BACKGROUND, where=closer)
         _paint(rgb, bp.color, closer)
 
 
 def _draw_face(
-    spec: SceneSpec, depth: np.ndarray, surface: np.ndarray, rgb: np.ndarray, box
+    spec: SceneSpec, depth: np.ndarray, mask: np.ndarray, rgb: np.ndarray, box
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ray-cast the face over its pixel `box` (a pair of row and column
-    slices) and z-buffer it into `depth`, `surface` and `rgb`.
+    slices) and z-buffer it into `depth` and `rgb`, marking the pixels it
+    wins with 255 in `mask`. It is drawn after every background plane.
 
     Returns the face-frame coordinates `lx`, `ly` of every box pixel's ray hit
     and the pixels the face won; the other box-sized intermediates die here.
@@ -154,7 +145,7 @@ def _draw_face(
     block = depth[box]
     wins = inside & ((block == 0) | (z < block))
     np.copyto(block, z, where=wins)
-    np.copyto(surface[box], LABEL_FACE, where=wins)
+    np.copyto(mask[box], 255, where=wins)
     _paint(rgb[box], spec.face_color, wins)
     return lx, ly, wins
 
@@ -197,43 +188,34 @@ def _noise_and_quantize(spec: SceneSpec, depth: np.ndarray) -> None:
         rows /= 1000.0
 
 
-def _cloud(
-    intr: CameraIntrinsics, depth: np.ndarray, rgb: np.ndarray, surface: np.ndarray
-) -> tuple[PointCloud, np.ndarray]:
-    """Every pixel with depth, back-projected in row-major order, with its
-    colour and surface label. The outputs are sized from one count and each
-    row block is compressed straight into its slice of them."""
-    n = int(np.count_nonzero(depth))
-    points = np.empty((n, 3))
-    colors = np.empty((n, 3), dtype=np.uint8)
-    labels = np.empty(n, dtype=np.int8)
+def _cloud(intr: CameraIntrinsics, depth: np.ndarray) -> PointCloud:
+    """Every pixel with depth, back-projected in row-major order. The points
+    are sized from one count and each row block is compressed straight into
+    its slice of them."""
+    points = np.empty((int(np.count_nonzero(depth)), 3))
     xs = np.arange(intr.width)
     start = 0
     for r0 in range(0, len(depth), _BLOCK_ROWS):
-        rows = slice(r0, r0 + _BLOCK_ROWS)
-        z = depth[rows]
+        z = depth[r0 : r0 + _BLOCK_ROWS]
         valid = (z > 0).ravel()
         stop = start + int(np.count_nonzero(valid))
         grid = back_project(intr, xs, np.arange(r0, r0 + len(z))[:, None], z)
         np.compress(valid, grid.reshape(-1, 3), axis=0, out=points[start:stop])
-        np.compress(valid, rgb[rows].reshape(-1, 3), axis=0, out=colors[start:stop])
-        np.compress(valid, surface[rows].ravel(), out=labels[start:stop])
         start = stop
-    return PointCloud(points, colors=colors), labels
+    return PointCloud(points)
 
 
 def render_scene(
     spec: SceneSpec,
 ) -> tuple[np.ndarray, DepthImage, MaskImage, PointCloud, GroundTruth]:
     """Render RGB, depth and face mask; deproject the full depth image into a
-    labeled point cloud.
+    point cloud.
 
     Colours are painted per channel. The noise, the quantization and the
     cloud run over blocks of `_BLOCK_ROWS` rows and write straight into the
-    returned arrays, so no frame-sized float temporary is held: a 1280x720
-    scene allocates about 6 MB beyond the 37 MB it returns. The cloud is in
-    row-major pixel order. It and its labels are kept for the benchmark
-    tracer and the tests; no pipeline stage reads them.
+    returned arrays, so no frame-sized float temporary is held. The cloud is
+    in row-major pixel order. It is kept for the benchmark tracer and the
+    tests; no pipeline stage reads it.
 
     Raises FaceOutOfView when less than half of the face projects into frame.
     """
@@ -241,10 +223,10 @@ def render_scene(
     intr = spec.intrinsics
     h, w = intr.height, intr.width
     depth = np.zeros((h, w))
-    surface = np.full((h, w), -1, dtype=np.int8)
+    mask = np.zeros((h, w), dtype=np.uint8)
     rgb = np.empty((h, w, 3), dtype=np.uint8)
     _paint(rgb, spec.void_color)
-    _draw_background(spec, depth, surface, rgb)
+    _draw_background(spec, depth, rgb)
 
     pose = spec.gt_pose
     corners_cam = pose.transform(_local_corners(spec.cuboid))
@@ -271,9 +253,9 @@ def render_scene(
         # Holes are cut before the noise: the noise skips zero depth and its
         # draw still covers every pixel, so this matches cutting them after.
         # The box-sized hits die with this statement.
-        _cut_dropout(spec, depth[box], *_draw_face(spec, depth, surface, rgb, box))
+        _cut_dropout(spec, depth[box], *_draw_face(spec, depth, mask, rgb, box))
 
-    mask_img = MaskImage(np.multiply(surface == LABEL_FACE, 255, dtype=np.uint8))
+    mask_img = MaskImage(mask)
     face_px = mask_img.count()
     if face_px / max(analytic_area, 1.0) < 0.5:
         raise FaceOutOfView(
@@ -282,9 +264,8 @@ def render_scene(
 
     _noise_and_quantize(spec, depth)
     depth_img = DepthImage(depth)
-    cloud, labels = _cloud(intr, depth, rgb, surface)
-    gt = GroundTruth(pose=pose, face_mask=mask_img, labels=labels)
-    return rgb, depth_img, mask_img, cloud, gt
+    gt = GroundTruth(pose=pose, face_mask=mask_img)
+    return rgb, depth_img, mask_img, _cloud(intr, depth), gt
 
 
 def inject_pose_error(gt_pose: Pose, yaw_deg: float, dt_cam) -> Pose:

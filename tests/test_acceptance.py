@@ -356,8 +356,9 @@ def test_criterion_09_segmentation_properties(request):
     p2 = np.column_stack(
         [rng.uniform(0, 0.2, n), np.full(n, 0.15), 1.0 - rng.uniform(0, 0.12, n)]
     )
-    cloud = estimate_normals(PointCloud(np.vstack([p1, p2])), radius=0.02)
-    clusters = region_growing(cloud, angle_thresh_deg=10.0)
+    cloud = PointCloud(np.vstack([p1, p2]))
+    normals, curvatures = estimate_normals(cloud, radius=0.02)
+    clusters = region_growing(cloud, normals, curvatures, angle_thresh_deg=10.0)
     purity = min(max(np.mean(idx < n), 1.0 - np.mean(idx < n)) for idx in clusters)
     purity_ok = len(clusters) == 2 and purity >= 0.98
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from cuboidpose.bench import (
     BenchConfig,
     PipelineConfig,
+    _segment,
     draw_trial,
     run_bench,
     run_pipeline,
@@ -310,6 +311,25 @@ def test_pipeline_sizes_the_face_before_voxelling(tmp_path):
     # criterion 06's envelope
     assert symmetric_rot_err_deg(result.pose.r, gt.r) <= 3.3
     assert np.linalg.norm(result.pose.t - gt.t) * 1000.0 <= 5.3
+
+
+@pytest.mark.parametrize("size", [2, 5, 20])
+def test_front_end_ignores_a_same_coloured_speck(size):
+    """A patch of face paint on the backdrop is a second mask component. The
+    front end deprojects and outlines only the largest one, so the segment,
+    the axis points and the outline are the clean frame's, bit for bit."""
+    config = BenchConfig(master_seed=7)
+    scene_seed, gt, corner, _, _ = draw_trial(config, 0)
+    rgb, depth, _, _, _ = render_scene(scene_spec_for(config, scene_seed, gt, corner))
+    front_end = PipelineConfig(use_sor=False)
+    clean = _segment(rgb, depth, config.intrinsics, front_end)
+    specked = rgb.copy()
+    specked[20 : 20 + size, 20 : 20 + size] = (200, 40, 40)
+    segment, t1, t2, quad = _segment(specked, depth, config.intrinsics, front_end)
+    assert segment.points.tobytes() == clean[0].points.tobytes()
+    assert t1.tobytes() == clean[1].tobytes()
+    assert t2.tobytes() == clean[2].tobytes()
+    assert quad.corners.tobytes() == clean[3].corners.tobytes()
 
 
 def test_pipeline_missing_files(tmp_path):

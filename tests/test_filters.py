@@ -61,13 +61,6 @@ def voxel_oracle(cloud, leaf):
     return keys, np.array([cloud.points[buckets[k]].mean(axis=0) for k in keys])
 
 
-def attached_cloud(rng, pts):
-    n = len(pts)
-    normals = rng.normal(size=(n, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(pts, normals, rng.integers(0, 256, (n, 3)), rng.uniform(0, 0.1, n))
-
-
 @pytest.mark.parametrize(
     "spread, leaf",
     [
@@ -76,18 +69,16 @@ def attached_cloud(rng, pts):
     ],
 )
 def test_voxel_order_and_attachments(spread, leaf):
-    """Output rows follow lexicographic voxel order; the input's normals,
-    colors and curvatures are not carried over."""
+    """Output rows follow lexicographic voxel order."""
     rng = np.random.default_rng(5)
     centers = rng.uniform(-spread, spread, size=(300, 3))
     pts = np.repeat(centers, 4, axis=0) + rng.uniform(-2 * leaf, 2 * leaf, size=(1200, 3))
-    cloud = attached_cloud(rng, pts[rng.permutation(len(pts))])
+    cloud = PointCloud(pts[rng.permutation(len(pts))])
     out = voxel_downsample(cloud, leaf)
     keys, points = voxel_oracle(cloud, leaf)
     assert len(out) == len(keys)
     assert (np.asarray(keys) < 0).any()
     assert_allclose(out.points, points, rtol=1e-12, atol=1e-9 * leaf)
-    assert out.normals is None and out.colors is None and out.curvatures is None
 
 
 def test_voxel_bad_leaf():
@@ -154,10 +145,11 @@ def test_sor_needs_more_than_k():
 # ---------------------------------------------------------------- normals
 
 def test_normals_flat_plane():
-    cloud = estimate_normals(PointCloud(plane_grid(z=1.0)), radius=0.01)
+    pts = plane_grid(z=1.0)
+    normals, curvatures = estimate_normals(PointCloud(pts), radius=0.01)
     # camera sits at the origin, so normals face back down the z axis
-    assert_allclose(cloud.normals, np.tile([0.0, 0.0, -1.0], (len(cloud), 1)), atol=1e-9)
-    assert_allclose(cloud.curvatures, np.zeros(len(cloud)), atol=1e-12)
+    assert_allclose(normals, np.tile([0.0, 0.0, -1.0], (len(pts), 1)), atol=1e-9)
+    assert_allclose(curvatures, np.zeros(len(pts)), atol=1e-12)
 
 
 def test_normals_tilted_plane():
@@ -167,9 +159,9 @@ def test_normals_tilted_plane():
         [[np.cos(a), 0.0, np.sin(a)], [0.0, 1.0, 0.0], [-np.sin(a), 0.0, np.cos(a)]]
     )
     pts = base @ tilt.T + np.array([0.0, 0.0, 1.0])
-    cloud = estimate_normals(PointCloud(pts), radius=0.012)
+    normals, _ = estimate_normals(PointCloud(pts), radius=0.012)
     want = tilt @ np.array([0.0, 0.0, -1.0])
-    dots = np.abs(cloud.normals @ want)
+    dots = np.abs(normals @ want)
     assert np.degrees(np.arccos(np.clip(dots, -1, 1))).max() < 1.0
 
 
@@ -182,28 +174,28 @@ def test_normals_sphere_patch():
     pts = center + radius * np.column_stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )
-    cloud = estimate_normals(PointCloud(pts), radius=0.03)
-    ok = ~np.isnan(cloud.normals[:, 0])
+    normals, _ = estimate_normals(PointCloud(pts), radius=0.03)
+    ok = ~np.isnan(normals[:, 0])
     radial = pts[ok] - center
     radial /= np.linalg.norm(radial, axis=1, keepdims=True)
-    dots = np.abs(np.sum(cloud.normals[ok] * radial, axis=1))
+    dots = np.abs(np.sum(normals[ok] * radial, axis=1))
     assert np.degrees(np.arccos(np.clip(dots, -1, 1))).max() < 3.0
 
 
 def test_normals_unit_length_and_camera_facing():
     rng = np.random.default_rng(7)
     pts = plane_grid(z=1.0) + rng.normal(0, 0.0005, (len(plane_grid()), 3))
-    cloud = estimate_normals(PointCloud(pts), radius=0.012)
-    ok = ~np.isnan(cloud.normals[:, 0])
-    assert_allclose(np.linalg.norm(cloud.normals[ok], axis=1), 1.0, atol=1e-9)
-    assert np.all(np.sum(cloud.normals[ok] * pts[ok], axis=1) <= 0.0)
+    normals, _ = estimate_normals(PointCloud(pts), radius=0.012)
+    ok = ~np.isnan(normals[:, 0])
+    assert_allclose(np.linalg.norm(normals[ok], axis=1), 1.0, atol=1e-9)
+    assert np.all(np.sum(normals[ok] * pts[ok], axis=1) <= 0.0)
 
 
 def test_normals_isolated_point_flagged():
     pts = np.vstack([plane_grid(), [[5.0, 5.0, 5.0]]])
-    cloud = estimate_normals(PointCloud(pts), radius=0.01)
-    assert np.isnan(cloud.normals[-1]).all()
-    assert np.isnan(cloud.curvatures[-1])
+    normals, curvatures = estimate_normals(PointCloud(pts), radius=0.01)
+    assert np.isnan(normals[-1]).all()
+    assert np.isnan(curvatures[-1])
 
 
 def test_normals_too_few_points():

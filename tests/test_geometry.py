@@ -37,14 +37,6 @@ def test_transform_rotation_z_90():
     assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-9)
 
 
-def test_transform_rotates_normals():
-    cloud = PointCloud(np.zeros((1, 3)), normals=np.array([[1.0, 0.0, 0.0]]))
-    pose = Pose(rotation_z(np.pi / 2.0), np.array([5.0, 5.0, 5.0]))
-    out = apply_transform(pose, cloud)
-    # normals rotate but do not translate
-    assert_allclose(out.normals[0], [0.0, 1.0, 0.0], atol=1e-9)
-
-
 def box_corners(w, h, d):
     return np.array(
         [[sx * w, sy * h, sz * d] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
@@ -217,18 +209,3 @@ def test_pose_validate_rejects_non_rotation():
     bad.r = np.eye(3) * 1.1
     with pytest.raises(ValueError):
         bad.validate()
-
-
-def test_pointcloud_subset_keeps_attachments():
-    pts = np.arange(12.0).reshape(4, 3)
-    cloud = PointCloud(pts, normals=pts + 100.0, curvatures=np.arange(4.0))
-    sub = cloud.subset(np.array([True, False, True, False]))
-    assert len(sub) == 2
-    assert_allclose(sub.points, pts[[0, 2]])
-    assert_allclose(sub.normals, pts[[0, 2]] + 100.0)
-    assert_allclose(sub.curvatures, [0.0, 2.0])
-
-
-def test_pointcloud_rejects_mismatched_attachments():
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((3, 3)), normals=np.zeros((2, 3)))

@@ -122,7 +122,9 @@ def test_pair_table_matches_norm_bitwise(seed):
     assert np.all(pairs[:, 0] < pairs[:, 1])
 
 
-def _candidates_by_rows(pts, pairs1, pairs2, r1, r2, alpha_deg, params, cut=50000):
+def _candidates_by_rows(
+    pts, pairs1, pairs2, r1, r2, alpha_deg, params, cut=50000, angle_tol_deg=7.0
+):
     """Row-loop form of the congruent-set match, kept here as the oracle: the
     matches of each midpoint group are appended in order, stopping after the
     group that takes the count past `cut`."""
@@ -151,10 +153,10 @@ def _candidates_by_rows(pts, pairs1, pairs2, r1, r2, alpha_deg, params, cut=5000
     u2 = d2[i2] / np.linalg.norm(d2[i2], axis=1, keepdims=True)
     ang = np.degrees(np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0)))
     ang_err = np.abs(ang - alpha_deg)
-    keep = ang_err <= params.angle_tol_deg
+    keep = ang_err <= angle_tol_deg
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
-    badness = e_dist / params.eps + ang_err / params.angle_tol_deg
+    badness = e_dist / params.eps + ang_err / angle_tol_deg
     order = np.argsort(badness, kind="stable")[: params.max_candidates]
     return [
         (int(s1[a]), int(e1[a]), int(s2[b]), int(e2[b]))

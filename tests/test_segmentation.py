@@ -25,16 +25,20 @@ from cuboidpose import (
 )
 from cuboidpose.errors import (
     InvalidDepth,
-    MissingNormals,
     NoComponent,
     NoRoiMatch,
     NotQuadrilateralLike,
 )
 from cuboidpose import segmentation
-from cuboidpose.bench import BenchConfig
+from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
 from cuboidpose.camera import project
 from cuboidpose.geometry import Pose, rotation_about, rotation_z
-from cuboidpose.segmentation import _refine_quad, rgb_to_hsv
+from cuboidpose.segmentation import (
+    _merge_least_area_edge,
+    _refine_quad,
+    _shoelace,
+    rgb_to_hsv,
+)
 from cuboidpose.synth import BackgroundPlane, SceneSpec, render_scene
 from conftest import FACE, face_plane
 
@@ -211,8 +215,8 @@ def two_plane_cloud(rng, gap=0.2, n=2000):
 def test_region_growing_parallel_planes():
     rng = np.random.default_rng(10)
     p1, p2 = two_plane_cloud(rng)
-    cloud = estimate_normals(PointCloud(np.vstack([p1, p2])), radius=0.02)
-    clusters = region_growing(cloud)
+    cloud = PointCloud(np.vstack([p1, p2]))
+    clusters = region_growing(cloud, *estimate_normals(cloud, radius=0.02))
     assert len(clusters) == 2
     sizes = sorted(len(c) for c in clusters)
     assert sizes[0] > 1800
@@ -226,8 +230,10 @@ def test_region_growing_dihedral_purity():
     p2 = np.column_stack(
         [rng.uniform(0, 0.2, n), np.full(n, 0.15), 1.0 - rng.uniform(0, 0.12, n)]
     )
-    cloud = estimate_normals(PointCloud(np.vstack([p1, p2])), radius=0.02)
-    clusters = region_growing(cloud, angle_thresh_deg=10.0)
+    cloud = PointCloud(np.vstack([p1, p2]))
+    clusters = region_growing(
+        cloud, *estimate_normals(cloud, radius=0.02), angle_thresh_deg=10.0
+    )
     assert len(clusters) == 2
     for idx in clusters:
         frac = np.mean(idx < n)
@@ -237,15 +243,17 @@ def test_region_growing_dihedral_purity():
 def test_region_growing_single_plane():
     rng = np.random.default_rng(12)
     p1, _ = two_plane_cloud(rng)
-    cloud = estimate_normals(PointCloud(p1), radius=0.02)
-    assert len(region_growing(cloud)) == 1
+    cloud = PointCloud(p1)
+    assert len(region_growing(cloud, *estimate_normals(cloud, radius=0.02))) == 1
 
 
 def test_region_growing_clusters_disjoint_and_sized():
     rng = np.random.default_rng(13)
     p1, p2 = two_plane_cloud(rng)
-    cloud = estimate_normals(PointCloud(np.vstack([p1, p2])), radius=0.02)
-    clusters = region_growing(cloud, min_cluster=200)
+    cloud = PointCloud(np.vstack([p1, p2]))
+    clusters = region_growing(
+        cloud, *estimate_normals(cloud, radius=0.02), min_cluster=200
+    )
     seen = set()
     for idx in clusters:
         assert len(idx) >= 200
@@ -255,9 +263,17 @@ def test_region_growing_clusters_disjoint_and_sized():
         seen |= as_set
 
 
-def test_region_growing_needs_normals():
-    with pytest.raises(MissingNormals):
-        region_growing(PointCloud(np.zeros((10, 3))))
+def test_region_growing_rejects_mismatched_shapes():
+    """Row i of the normals and curvatures describes point i."""
+    cloud = PointCloud(np.zeros((10, 3)))
+    for normals_shape, curvatures_shape in [
+        ((9, 3), (10,)),
+        ((10, 3), (9,)),
+        ((10, 2), (10,)),
+        ((10, 3), (10, 1)),
+    ]:
+        with pytest.raises(ValueError):
+            region_growing(cloud, np.zeros(normals_shape), np.zeros(curvatures_shape))
 
 
 # ---------------------------------------------------------------- outline fit
@@ -315,13 +331,31 @@ def test_quadrilateral_picks_largest_component():
 
 
 def full_frame_outline(mask):
-    """Oracle: the hull input (pixels of the largest component) and polish
-    input (its outline pixels), labelled and eroded on the whole frame."""
+    """Oracle: the pixels of the largest component and its outline pixels, the
+    hull and polish input, labelled and eroded on the whole frame."""
     labeled, _ = ndimage.label(mask.data != 0, structure=np.ones((3, 3), dtype=int))
     component = labeled == np.argmax(np.bincount(labeled.ravel())[1:]) + 1
     ys, xs = np.nonzero(component)
     by, bx = np.nonzero(component & ~ndimage.binary_erosion(component))
     return np.column_stack([xs, ys]).astype(float), np.column_stack([bx, by]).astype(float)
+
+
+def all_pixel_quad(mask):
+    """Oracle: the outline with Qhull run over every pixel of the largest
+    component rather than its outline pixels alone."""
+    pts, boundary = full_frame_outline(mask)
+    poly = pts[ConvexHull(pts).vertices]
+    if _shoelace(poly) < 0:
+        poly = poly[::-1]
+    while len(poly) > 4:
+        poly = _merge_least_area_edge(poly)
+    if _shoelace(poly) < 0:
+        poly = poly[::-1]
+    polished = _refine_quad(poly, boundary)
+    if polished is not None:
+        poly = polished
+    key = np.lexsort((poly[:, 0], poly[:, 1], (poly ** 2).sum(axis=1)))
+    return np.roll(poly, -int(key[0]), axis=0)
 
 
 def fit_seen_inputs(monkeypatch, mask):
@@ -353,7 +387,8 @@ def test_quadrilateral_shifts_with_embedding(monkeypatch):
     assert np.array_equal(moved_pts, pts + [ox, oy])
     assert np.array_equal(moved_boundary, boundary + [ox, oy])
     assert_allclose(moved.corners, quad.corners + [ox, oy], rtol=0, atol=1e-9)
-    assert not np.allclose(quad.corners, fit_quadrilateral(mask, refine=False).corners)
+    monkeypatch.setattr(segmentation, "_refine_quad", lambda poly, boundary: None)
+    assert not np.allclose(quad.corners, fit_quadrilateral(mask).corners)
 
 
 def rect_at(shape, rows, cols):
@@ -374,11 +409,12 @@ def rect_at(shape, rows, cols):
 )
 def test_quadrilateral_touching_image_border(monkeypatch, rows, cols):
     """Pixels beyond the frame count as empty: the labelled box feeds Qhull and
-    the polish the same pixels, in the same order, as the whole frame does."""
+    the polish the same outline pixels, in the same order, as the whole frame
+    does."""
     mask = rect_at((120, 160), rows, cols)
     quad, pts, boundary = fit_seen_inputs(monkeypatch, mask)
-    want_pts, want_boundary = full_frame_outline(mask)
-    assert np.array_equal(pts, want_pts)
+    _, want_boundary = full_frame_outline(mask)
+    assert np.array_equal(pts, want_boundary)
     assert np.array_equal(boundary, want_boundary)
     x0, x1, y0, y1 = cols[0], cols[1] - 1, rows[0], rows[1] - 1
     ideal = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
@@ -391,10 +427,32 @@ def test_quadrilateral_two_components(monkeypatch):
     both = MaskImage(alone.data.copy())
     both.data[400:480, 600:640] = 255  # 3200 px in the corner, below the face's 6000
     quad, pts, boundary = fit_seen_inputs(monkeypatch, both)
-    want_pts, want_boundary = full_frame_outline(both)
-    assert np.array_equal(pts, want_pts)
+    _, want_boundary = full_frame_outline(both)
+    assert np.array_equal(pts, want_boundary)
     assert np.array_equal(boundary, want_boundary)
     assert np.array_equal(quad.corners, fit_quadrilateral(alone).corners)
+
+
+# bench scenes without and with the 10 % corner dropout
+OUTLINE_SCENES = [
+    (0.0, 11, 0),
+    (0.0, 23, 5),
+    (0.0, 5150, 2),
+    (0.1, 11, 1),
+    (0.1, 23, 7),
+    (0.1, 7, 3),
+]
+
+
+@pytest.mark.parametrize("dropout, seed, trial", OUTLINE_SCENES)
+def test_quadrilateral_hull_of_outline_equals_all_pixel_hull(dropout, seed, trial):
+    """On rendered bench masks, the hull of the outline pixels gives the quad
+    of the hull of every component pixel, bit for bit."""
+    config = BenchConfig(master_seed=seed, dropout_frac=dropout)
+    scene_seed, gt, corner, _, _ = draw_trial(config, trial)
+    rgb, _, _, _, _ = render_scene(scene_spec_for(config, scene_seed, gt, corner))
+    mask = hsv_threshold(rgb, RED)
+    assert fit_quadrilateral(mask).corners.tobytes() == all_pixel_quad(mask).tobytes()
 
 
 # ---------------------------------------------------------------- ROI gate

@@ -18,8 +18,6 @@ from cuboidpose.camera import DepthImage, MaskImage, back_project
 from cuboidpose.errors import FaceOutOfView, InvalidSpec
 from cuboidpose.geometry import PointCloud, rotation_angle, rotation_about
 from cuboidpose.synth import (
-    LABEL_BACKGROUND,
-    LABEL_FACE,
     _BLOCK_ROWS,
     BackgroundPlane,
     GroundTruth,
@@ -53,12 +51,6 @@ def test_mask_count_matches_projected_area():
     _, _, mask, _, _ = render_scene(spec)
     analytic = (920.0 * 0.30) * (920.0 * 0.20)
     assert abs(mask.count() - analytic) <= 0.01 * analytic
-
-
-def test_labels_parallel_cloud(frontal):
-    assert len(frontal.gt.labels) == len(frontal.cloud)
-    face_points = int(np.sum(frontal.gt.labels == LABEL_FACE))
-    assert face_points == frontal.gt.face_mask.count()
 
 
 def test_corner_dropout_bites_locally():
@@ -188,14 +180,13 @@ def render_scene_oracle(spec):
     intr = spec.intrinsics
     h, w = intr.height, intr.width
     depth = np.zeros((h, w))
-    surface = np.full((h, w), -1, dtype=np.int8)
+    face_mask = np.zeros((h, w), dtype=bool)
     rgb = np.empty((h, w, 3), dtype=np.uint8)
     rgb[:] = spec.void_color
 
     for bp in spec.background:
         closer = (depth == 0) | (bp.depth < depth)
         depth[closer] = bp.depth
-        surface[closer] = LABEL_BACKGROUND
         np.copyto(rgb, np.array(bp.color, dtype=np.uint8), where=closer[..., None])
 
     pose = spec.gt_pose
@@ -246,11 +237,10 @@ def render_scene_oracle(spec):
         block = depth[y0 : y1 + 1, x0 : x1 + 1]
         wins = inside & ((block == 0) | (z < block))
         block[wins] = z[wins]
-        surface[y0 : y1 + 1, x0 : x1 + 1][wins] = LABEL_FACE
+        face_mask[y0 : y1 + 1, x0 : x1 + 1][wins] = True
         rgb[y0 : y1 + 1, x0 : x1 + 1][wins] = spec.face_color
         face_lx, face_ly, face_wins = lx, ly, wins
 
-    face_mask = surface == LABEL_FACE
     coverage_base = max(analytic_area, 1.0)
     if face_mask.sum() / coverage_base < 0.5:
         raise FaceOutOfView(
@@ -285,10 +275,8 @@ def render_scene_oracle(spec):
 
     vy, vx = np.nonzero(depth_q > 0)
     pts = back_project(intr, vx, vy, depth_q[vy, vx])
-    cloud = PointCloud(pts, colors=rgb[vy, vx])
-    labels = surface[vy, vx]
-    gt = GroundTruth(pose=pose, face_mask=mask_img, labels=labels)
-    return rgb, depth_img, mask_img, cloud, gt
+    gt = GroundTruth(pose=pose, face_mask=mask_img)
+    return rgb, depth_img, mask_img, PointCloud(pts), gt
 
 
 TILT = rotation_about([0.2, -0.1, 1.0], 0.6)
@@ -344,8 +332,6 @@ def assert_render_matches_oracle(spec):
     assert np.array_equal(mask.data, o_mask.data)
     assert np.array_equal(gt.face_mask.data, o_gt.face_mask.data)
     assert cloud.points.tobytes() == o_cloud.points.tobytes()
-    assert cloud.colors.tobytes() == o_cloud.colors.tobytes()
-    assert np.array_equal(gt.labels, o_gt.labels)
     return o_depth, o_mask
 
 
@@ -433,9 +419,6 @@ def test_render_allocates_little_beyond_its_outputs():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(
-        a.nbytes
-        for a in (rgb, depth.data, mask.data, cloud.points, cloud.colors, gt.labels)
-    )
+    returned = sum(a.nbytes for a in (rgb, depth.data, mask.data, cloud.points))
     assert len(cloud) > 0.9 * 1280 * 720
     assert peak - returned <= 12e6, f"{(peak - returned) / 1e6:.1f} MB transient"
