@@ -263,6 +263,16 @@ def test_region_growing_clusters_disjoint_and_sized():
         seen |= as_set
 
 
+def test_region_growing_needs_normals():
+    """Normals are a required argument, one 3-vector per point."""
+    cloud = PointCloud(np.zeros((10, 3)))
+    with pytest.raises(TypeError):
+        region_growing(cloud)
+    for normals_shape in [(9, 3), (11, 3), (10, 2), (10,)]:
+        with pytest.raises(ValueError):
+            region_growing(cloud, np.zeros(normals_shape), np.zeros(10))
+
+
 def test_region_growing_rejects_mismatched_shapes():
     """Row i of the normals and curvatures describes point i."""
     cloud = PointCloud(np.zeros((10, 3)))
@@ -271,6 +281,7 @@ def test_region_growing_rejects_mismatched_shapes():
         ((10, 3), (9,)),
         ((10, 2), (10,)),
         ((10, 3), (10, 1)),
+        ((9, 3), (9,)),
     ]:
         with pytest.raises(ValueError):
             region_growing(cloud, np.zeros(normals_shape), np.zeros(curvatures_shape))
