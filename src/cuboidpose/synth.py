@@ -6,29 +6,29 @@ deciding visibility. Depth noise is applied along the viewing ray, then
 quantized to whole millimeters exactly as a 16-bit sensor would report it.
 
 Full-frame work runs on the pixel axis: colours are painted one channel at a
-time and the cloud's points are cut from the flattened frame with
-`np.compress`, so no step broadcasts, masks or gathers over the 3-wide colour
-axis. The noise, the quantization and the cloud go one block of rows at a
-time, in place or straight into the returned arrays, and the face's ray
-casting keeps its intermediates to the face's pixel box; so a render
-allocates little beyond what it returns (about 5 MB over 33 MB for a 1280x720
-scene). The cloud is read only by the benchmark tracer and the tests; the
-pipeline uses the rgb, depth and mask images.
+time, so no step broadcasts, masks or gathers over the 3-wide colour axis.
+The noise and the quantization go one block of rows at a time, in place, and
+the face's ray casting keeps its intermediates to the face's pixel box; so a
+1280x720 bench render peaks about 11 MB above the 11 MB it returns, nearly
+all of it in the box's ray casting. Its full-frame cloud is back-projected
+only when its points are first read, which only the tests do; the pipeline
+reads the images, and the benchmark tracer the cloud's length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .camera import CameraIntrinsics, DepthImage, MaskImage, back_project
+from .camera import CameraIntrinsics, DepthImage, MaskImage, deproject_mask
 from .correction import CuboidSpec
 from .errors import FaceOutOfView, InvalidSpec
 from .geometry import PointCloud, Pose, rotation_z
 
-# Rows per block of the noise, quantization and cloud passes: a 1280-wide
-# block's back-projected grid is 2 MB, small next to the 37 MB a scene returns.
+# Rows per block of the noise and quantization passes: a 1280-wide block of
+# noise is 0.6 MB, small next to the 11 MB a scene returns.
 _BLOCK_ROWS = 64
 
 
@@ -169,7 +169,8 @@ def _noise_and_quantize(spec: SceneSpec, depth: np.ndarray) -> None:
     The generator fills row-major, so the blocks hold exactly the values of
     one (h, w) draw. Depth is never negative before the noise, so adding only
     where it is positive matches np.where(depth > 0, depth + noise, 0.0) bit
-    for bit.
+    for bit. A sum below zero rounds to at most -0.0 millimeters and is zeroed
+    with the other out-of-range values.
     """
     rng = np.random.default_rng(spec.seed)
     noise = np.empty((min(_BLOCK_ROWS, len(depth)), depth.shape[1]))
@@ -180,7 +181,6 @@ def _noise_and_quantize(spec: SceneSpec, depth: np.ndarray) -> None:
             rng.standard_normal(out=block_noise)
             block_noise *= spec.noise_sigma
             np.add(rows, block_noise, out=rows, where=rows > 0)
-            rows[rows < 0] = 0.0
         # whole millimeters, then meters again
         rows *= 1000.0
         np.rint(rows, out=rows)
@@ -188,34 +188,34 @@ def _noise_and_quantize(spec: SceneSpec, depth: np.ndarray) -> None:
         rows /= 1000.0
 
 
-def _cloud(intr: CameraIntrinsics, depth: np.ndarray) -> PointCloud:
-    """Every pixel with depth, back-projected in row-major order. The points
-    are sized from one count and each row block is compressed straight into
-    its slice of them."""
-    points = np.empty((int(np.count_nonzero(depth)), 3))
-    xs = np.arange(intr.width)
-    start = 0
-    for r0 in range(0, len(depth), _BLOCK_ROWS):
-        z = depth[r0 : r0 + _BLOCK_ROWS]
-        valid = (z > 0).ravel()
-        stop = start + int(np.count_nonzero(valid))
-        grid = back_project(intr, xs, np.arange(r0, r0 + len(z))[:, None], z)
-        np.compress(valid, grid.reshape(-1, 3), axis=0, out=points[start:stop])
-        start = stop
-    return PointCloud(points)
+class _DeferredCloud(PointCloud):
+    """Every pixel with depth, back-projected in row-major order by
+    `deproject_mask` on the first read of `points`, from the depth image as it
+    stands then; its length is counted without back-projecting anything."""
+
+    def __init__(self, intr: CameraIntrinsics, depth: DepthImage):
+        self._intr, self._depth = intr, depth
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        valid = MaskImage(self._depth.data > 0)
+        return deproject_mask(self._intr, self._depth, valid).points
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._depth.data))
 
 
 def render_scene(
     spec: SceneSpec,
 ) -> tuple[np.ndarray, DepthImage, MaskImage, PointCloud, GroundTruth]:
-    """Render RGB, depth and face mask; deproject the full depth image into a
-    point cloud.
+    """Render RGB, depth and face mask, with a cloud of every pixel with depth
+    whose points are back-projected from the returned depth image, as it then
+    stands, when they are first read.
 
-    Colours are painted per channel. The noise, the quantization and the
-    cloud run over blocks of `_BLOCK_ROWS` rows and write straight into the
-    returned arrays, so no frame-sized float temporary is held. The cloud is
-    in row-major pixel order. It is kept for the benchmark tracer and the
-    tests; no pipeline stage reads it.
+    Colours are painted per channel, and the noise and the quantization run
+    in place over blocks of `_BLOCK_ROWS` rows, so no frame-sized float
+    temporary is held. Only the benchmark tracer (the cloud's length) and the
+    tests read the cloud; no pipeline stage does.
 
     Raises FaceOutOfView when less than half of the face projects into frame.
     """
@@ -265,7 +265,7 @@ def render_scene(
     _noise_and_quantize(spec, depth)
     depth_img = DepthImage(depth)
     gt = GroundTruth(pose=pose, face_mask=mask_img)
-    return rgb, depth_img, mask_img, _cloud(intr, depth), gt
+    return rgb, depth_img, mask_img, _DeferredCloud(intr, depth_img), gt
 
 
 def inject_pose_error(gt_pose: Pose, yaw_deg: float, dt_cam) -> Pose:

@@ -87,6 +87,20 @@ def test_project_behind_camera():
         project(WIDE, [0.1, 0.1, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.001])
+def test_depth_image_rejects_nonfinite_and_negative(bad):
+    data = np.ones((4, 5))
+    data[2, 3] = bad
+    with pytest.raises(ValueError):
+        DepthImage(data)
+
+
+def test_depth_image_accepts_all_zero():
+    depth = DepthImage(np.zeros((4, 5), dtype=np.float32))
+    assert depth.data.dtype == np.float64
+    assert not depth.data.any()
+
+
 def test_dimension_mismatch():
     small = DepthImage(np.ones((10, 10)))
     with pytest.raises(DimensionMismatch):

@@ -13,8 +13,9 @@ from cuboidpose import (
     make_reference_face,
     render_scene,
 )
+from cuboidpose import synth
 from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
-from cuboidpose.camera import DepthImage, MaskImage, back_project
+from cuboidpose.camera import DepthImage, MaskImage, back_project, deproject_mask
 from cuboidpose.errors import FaceOutOfView, InvalidSpec
 from cuboidpose.geometry import PointCloud, rotation_angle, rotation_about
 from cuboidpose.synth import (
@@ -319,6 +320,8 @@ RENDER_CASES = {
         noise_sigma=0.001,
         seed=3,
     ),
+    # noise drives many depths below zero, so the oracle's negative clip runs
+    "noise_below_zero": dict(noise_sigma=0.6, background=[BackgroundPlane(1.6)]),
 }
 
 
@@ -335,11 +338,35 @@ def assert_render_matches_oracle(spec):
     return o_depth, o_mask
 
 
-@pytest.mark.parametrize("case", sorted(RENDER_CASES))
-def test_render_matches_oracle(case, intr640):
+def render_case_spec(case, intr):
     kw = dict(RENDER_CASES[case])
     pose = kw.pop("pose", Pose(TILT, np.array([0.01, -0.02, 1.0])))
-    assert_render_matches_oracle(SceneSpec(FACE, pose, intr640, **kw))
+    return SceneSpec(FACE, pose, intr, **kw)
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_matches_oracle(case, intr640):
+    assert_render_matches_oracle(render_case_spec(case, intr640))
+
+
+def test_render_cloud_is_built_once_on_first_read(intr640, monkeypatch):
+    """The cloud counts its points from the depth image, back-projects them
+    only when `points` is first read, and keeps them for later reads."""
+    calls = []
+
+    def counting_deproject(*args):
+        calls.append(args)
+        return deproject_mask(*args)
+
+    monkeypatch.setattr(synth, "deproject_mask", counting_deproject)
+    spec = render_case_spec("noise_and_dropout", intr640)
+    _, depth, _, cloud, _ = render_scene(spec)
+    assert len(cloud) == np.count_nonzero(depth.data)
+    assert calls == []
+    points = cloud.points
+    assert cloud.points is points
+    assert len(calls) == 1
+    assert points.tobytes() == render_scene_oracle(spec)[3].points.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -406,8 +433,9 @@ def test_render_face_out_of_the_bottom(intr640):
 
 def test_render_allocates_little_beyond_its_outputs():
     """One 1280x720 bench scene (noise, corner dropout, a background plane)
-    may allocate at most 12 MB beyond the arrays it returns; a frame-sized
-    float64 temporary alone is 7.4 MB."""
+    may allocate at most 12 MB beyond its rgb, depth and mask images; a
+    frame-sized float64 temporary alone is 7.4 MB, and the cloud's points,
+    built only when read, would be 22 MB."""
     config = BenchConfig(dropout_frac=0.1)
     scene_seed, gt_pose, corner, _, _ = draw_trial(config, 0)
     spec = scene_spec_for(config, scene_seed, gt_pose, corner)
@@ -419,6 +447,6 @@ def test_render_allocates_little_beyond_its_outputs():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (rgb, depth.data, mask.data, cloud.points))
+    returned = sum(a.nbytes for a in (rgb, depth.data, mask.data))
     assert len(cloud) > 0.9 * 1280 * 720
     assert peak - returned <= 12e6, f"{(peak - returned) / 1e6:.1f} MB transient"
