@@ -57,6 +57,7 @@ from .registration import (
     coarse_register,
     icp_refine,
     kabsch,
+    lcp_score,
     pairs_in_range,
 )
 from .segmentation import (
@@ -120,6 +121,7 @@ __all__ = [
     "inverse_project",
     "kabsch",
     "largest_component",
+    "lcp_score",
     "make_reference_face",
     "pairs_in_range",
     "project",

@@ -6,6 +6,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .correction import (
 from .errors import CuboidPoseError, ParseError, PipelineError
 from .filters import statistical_outlier_removal, voxel_downsample
 from .geometry import (
+    PointCloud,
     Pose,
     orthonormalize,
     rotation_about,
@@ -27,7 +29,7 @@ from .geometry import (
     rotation_z,
 )
 from .io import load_intrinsics, load_pgm16, load_ppm
-from .registration import RegistrationParams, coarse_register, icp_refine
+from .registration import RegistrationParams, coarse_register, icp_refine, lcp_score
 from .segmentation import (
     HsvRange,
     Quadrilateral2D,
@@ -128,11 +130,31 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
+    """A corrected pose and how it was reached.
+
+    `coarse_score` is the LCP score (`registration.lcp_score` at the
+    registration's `inlier_dist`) of the start pose the correction used: the
+    face-plane pose, or the 4-point search's winner when `searched` is true
+    because the plane pose scored below `min_score`.
+    """
+
     pose: Pose
     report: CorrectionReport
     coarse_score: float
     segment_size: int
     quad: Quadrilateral2D
+    searched: bool
+
+
+class FrontEnd(NamedTuple):
+    """What `_segment` measures of the face in one frame."""
+
+    segment: PointCloud  # the voxelled face cloud, SOR-filtered when use_sor is on
+    t1: np.ndarray  # axis point on one short edge of the outline, on the face plane
+    t2: np.ndarray  # axis point on the other short edge
+    quad: Quadrilateral2D  # outline of the mask's largest component
+    center: np.ndarray  # mean of the deprojected component
+    normal: np.ndarray  # smallest axis of the ROI gate's box, sign as PCA gives it
 
 
 @contextmanager
@@ -146,8 +168,8 @@ def _stage(name: str):
         raise PipelineError(name, exc) from exc
 
 
-def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
-    """The front end: (face segment, axis points t1 and t2, outline quad).
+def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> FrontEnd:
+    """The front end: the face segment, axis points, outline and face plane.
 
     Thresholds the RGB image and keeps the mask's largest connected component,
     so a same-coloured speck elsewhere in the frame reaches neither the cloud
@@ -177,27 +199,54 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig):
             )
     with _stage("t_points"):
         quad = fit_quadrilateral(mask)
-        t1, t2 = target_axis_points(quad, intr, cloud.points.mean(axis=0), obb.axes[2])
-    return segment, t1, t2, quad
+        center, normal = cloud.points.mean(axis=0), obb.axes[2]
+        t1, t2 = target_axis_points(quad, intr, center, normal)
+    return FrontEnd(segment, t1, t2, quad, center, normal)
+
+
+def _plane_pose(face: FrontEnd) -> Pose:
+    """The start pose measured from the face plane: local z is the plane
+    normal turned to face the camera, local x is t2 - t1 projected into the
+    plane, and the origin is the mean of the deprojected component. It is
+    already in `_canonical_orientation`'s convention."""
+    z = face.normal if float(face.normal @ face.center) < 0.0 else -face.normal
+    d = face.t2 - face.t1
+    x = d - (d @ z) * z
+    x /= np.linalg.norm(x)
+    return Pose(np.column_stack((x, np.cross(z, x), z)), face.center)
 
 
 def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
     """Full chain from scene files to a corrected pose: load, segment the
-    face (`_segment`), register the reference grid coarsely, then correct
-    yaw and translation."""
+    face (`_segment`), check the start pose measured from the face plane,
+    then correct yaw and translation.
+
+    The correction keeps only the start pose's face normal, face side and
+    90 degree yaw fold, which the plane measures directly. The plane pose is
+    scored once with the coarse stage's LCP score; only when that score is
+    below `min_score` does the 4-point search (`coarse_register`) run and
+    supply the start pose instead. A failed search raises under the
+    `coarse_register` stage.
+    """
     with _stage("load"):
         rgb = load_ppm(os.path.join(scene_dir, "rgb.ppm"))
         depth = load_pgm16(os.path.join(scene_dir, "depth.pgm"))
         intr = load_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
-    segment, t1, t2, quad = _segment(rgb, depth, intr, config)
+    face = _segment(rgb, depth, intr, config)
     with _stage("coarse_register"):
         ref = make_reference_face(config.cuboid, config.pitch_m)
-        coarse = coarse_register(ref.cloud, segment, config.registration)
+        params = config.registration
+        start = _plane_pose(face)
+        score = lcp_score(ref.cloud, face.segment, start, params.inlier_dist)
+        searched = score < params.min_score
+        if searched:
+            coarse = coarse_register(ref.cloud, face.segment, params)
+            start, score = coarse.pose, coarse.score
     with _stage("correct_pose"):
-        normal = np.array(coarse.pose.r[:, 2])
-        final, report = correct_pose(coarse.pose, ref, t1, t2, normal)
-        final = _canonical_orientation(final, t1, t2)
-    return PipelineResult(final, report, coarse.score, len(segment), quad)
+        normal = np.array(start.r[:, 2])
+        final, report = correct_pose(start, ref, face.t1, face.t2, normal)
+        final = _canonical_orientation(final, face.t1, face.t2)
+    return PipelineResult(final, report, score, len(face.segment), face.quad, searched)
 
 
 def _canonical_orientation(pose: Pose, t1, t2) -> Pose:
@@ -391,20 +440,20 @@ def run_trial(config: BenchConfig, ref: ReferenceFace, trial: int) -> TrialRecor
     scene_seed, gt, corner, inj_yaw, inj_dt = draw_trial(config, trial)
     scene = scene_spec_for(config, scene_seed, gt, corner)
     rgb, depth, _, _, _ = render_scene(scene)
-    target, t1, t2, _ = _segment(rgb, depth, config.intrinsics, config.pipeline)
+    face = _segment(rgb, depth, config.intrinsics, config.pipeline)
 
     if config.use_coarse:
         with _stage("coarse_register"):
             params = replace(config.registration, seed=scene_seed)
-            coarse = coarse_register(ref.cloud, target, params)
-        base = _canonical_orientation(coarse.pose, t1, t2)
+            coarse = coarse_register(ref.cloud, face.segment, params)
+        base = _canonical_orientation(coarse.pose, face.t1, face.t2)
     else:
         base = gt
     start = inject_pose_error(base, inj_yaw, inj_dt)
 
-    icp = icp_refine(ref.cloud, target, start, max_iter=config.icp_max_iter)
+    icp = icp_refine(ref.cloud, face.segment, start, max_iter=config.icp_max_iter)
     normal = np.array(start.r[:, 2])
-    final, report = correct_pose(start, ref, t1, t2, normal)
+    final, report = correct_pose(start, ref, face.t1, face.t2, normal)
 
     def rot_err(pose: Pose) -> float:
         return math.degrees(rotation_angle(pose.r @ gt.r.T))

@@ -110,6 +110,7 @@ def _cmd_pipeline(args) -> int:
     )
     print(
         f"coarse_score={result.coarse_score:.4f} "
+        f"searched={int(result.searched)} "
         f"segment_points={result.segment_size} "
         f"t_estimate_ms={report.t_estimate * 1000:.3f} "
         f"t_correct_ms={report.t_correct * 1000:.3f}"
@@ -122,6 +123,7 @@ def _cmd_pipeline(args) -> int:
                 "pose": " ".join(f"{v:.17g}" for v in pose.matrix.ravel()),
                 "yaw_error_deg": f"{report.yaw_error_deg:.17g}",
                 "coarse_score": f"{result.coarse_score:.17g}",
+                "searched": int(result.searched),
             },
         )
     return EXIT_OK

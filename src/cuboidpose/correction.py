@@ -1,8 +1,12 @@
 """Constant-time pose error estimation and linear-time pose correction.
 
-After coarse registration of a synthetic reference grid onto the measured
+Once a start pose places a synthetic reference grid roughly on the measured
 face, the remaining error is dominated by an in-plane rotation (yaw about the
-face normal) and a translation. Both are recovered from two point pairs:
+face normal) and a translation. The start pose is the paper's coarse
+registration (`registration.coarse_register`) or, in `bench.run_pipeline`, the
+pose measured from the face plane, with the coarse registration as its
+fallback. The correction keeps the start pose's face normal, face side and 90
+degree yaw fold, and recovers the yaw and translation from two point pairs:
 
 * two measured points spanning the face along its long direction, the 3D
   midpoints of the outline's short edges where their corners' pixel rays meet

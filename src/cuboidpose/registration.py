@@ -11,7 +11,8 @@ annulus is a mask over the table's distances. Each candidate yields a rigid
 fit whose quality is scored by the fraction of source points landing within an
 inlier distance of the target (LCP score), on a fixed sample of the source; a
 candidate stops being scored once its misses show it cannot beat the best so
-far. The best-scoring pose wins.
+far. The best-scoring pose wins. `lcp_score` gives any pose that same score,
+which is how the pipeline checks its face-plane start pose.
 
 ICP matches every source point to its nearest target point in each
 iteration. A point moves a fraction of a millimeter per iteration, so
@@ -297,6 +298,47 @@ def _search_cloud(cloud: PointCloud, cap: int) -> PointCloud:
     return out
 
 
+class _Lcp:
+    """The coarse stage's LCP score of poses of a source cloud against a
+    target kd-tree, on a fixed sample of at most `_LCP_SAMPLE` source points
+    spread evenly over the source's order."""
+
+    def __init__(self, source: np.ndarray, target_tree: cKDTree):
+        idx = np.linspace(0, len(source) - 1, min(_LCP_SAMPLE, len(source)))
+        self.sample = source[np.unique(idx.astype(int))]
+        self.tree = target_tree
+
+    def hits(self, pose: Pose, dist: float, floor: int = -1) -> int:
+        """How many sampled source points have a target neighbor within
+        `dist` under `pose`, exactly when that count exceeds `floor`, and
+        some count not above `floor` otherwise: the sample is queried in
+        strided chunks, and the rest is skipped once the misses so far rule
+        out beating `floor`. The search is bounded just past `dist`; a
+        farther neighbor is a miss whatever its distance."""
+        n = len(self.sample)
+        moved = pose.transform(self.sample)
+        bound = dist * _LCP_BOUND_SLACK
+        misses = 0
+        for k in range(_LCP_STRIDE):
+            d, _ = self.tree.query(moved[k::_LCP_STRIDE], distance_upper_bound=bound)
+            misses += len(d) - int(np.count_nonzero(d <= dist))
+            if n - misses <= floor:
+                break
+        return n - misses
+
+    def score(self, pose: Pose, dist: float) -> float:
+        """LCP score: fraction of sampled source points with a target
+        neighbor within `dist` under `pose`."""
+        return self.hits(pose, dist) / len(self.sample)
+
+
+def lcp_score(source: PointCloud, target: PointCloud, pose: Pose, dist: float) -> float:
+    """The LCP score `coarse_register` gives a pose: the fraction of its fixed
+    sample of `source` points that land within `dist` of a `target` point
+    under `pose`."""
+    return _Lcp(source.points, cKDTree(target.points)).score(pose, dist)
+
+
 def coarse_register(
     source: PointCloud, target: PointCloud, params: RegistrationParams | None = None
 ) -> RegistrationResult:
@@ -321,32 +363,7 @@ def coarse_register(
     spts = _search_cloud(target, _SEARCH_POINTS).points
     table = _pair_table(spts)
     target_tree = cKDTree(tgt)
-    sample_idx = np.unique(
-        np.linspace(0, len(src) - 1, min(_LCP_SAMPLE, len(src))).astype(int)
-    )
-    sample = src[sample_idx]
-
-    def lcp_hits(pose: Pose, dist: float, floor: int = -1) -> int:
-        """How many sampled source points have a target neighbor within
-        `dist` under `pose`, exactly when that count exceeds `floor`, and
-        some count not above `floor` otherwise: the sample is queried in
-        strided chunks, and the rest is skipped once the misses so far rule
-        out beating `floor`. The search is bounded just past `dist`; a
-        farther neighbor is a miss whatever its distance."""
-        moved = pose.transform(sample)
-        bound = dist * _LCP_BOUND_SLACK
-        misses = 0
-        for k in range(_LCP_STRIDE):
-            d, _ = target_tree.query(moved[k::_LCP_STRIDE], distance_upper_bound=bound)
-            misses += len(d) - int(np.count_nonzero(d <= dist))
-            if len(sample) - misses <= floor:
-                break
-        return len(sample) - misses
-
-    def score_at(pose: Pose, dist: float) -> float:
-        """LCP score: fraction of sampled source points with a target
-        neighbor within `dist` under `pose`."""
-        return lcp_hits(pose, dist) / len(sample)
+    lcp = _Lcp(src, target_tree)
 
     best_hits = -1
     best_score = -1.0
@@ -387,10 +404,10 @@ def coarse_register(
                 continue
             # rank at the tight pair tolerance: at the loose inlier radius a
             # pose several millimeters off is indistinguishable from aligned
-            hits = lcp_hits(pose, params.eps, best_hits)
+            hits = lcp.hits(pose, params.eps, best_hits)
             if hits > best_hits:
                 best_hits = hits
-                best_score = hits / len(sample)
+                best_score = hits / len(lcp.sample)
                 best_pose = pose
             if best_score >= params.early_exit_score:
                 break
@@ -414,8 +431,8 @@ def coarse_register(
             break
         pose = kabsch(src[inl], tgt[idx[inl]])
     snapped = _box_snap(src, tgt, pose)
-    pose = max((snapped, pose, best_pose), key=lambda p: score_at(p, params.eps))
-    final_score = score_at(pose, params.inlier_dist)
+    pose = max((snapped, pose, best_pose), key=lambda p: lcp.score(p, params.eps))
+    final_score = lcp.score(pose, params.inlier_dist)
     pose = Pose(orthonormalize(pose.r), pose.t)
     return RegistrationResult(pose, final_score, time.perf_counter() - t0)
 

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cuboidpose import bench
 from cuboidpose.bench import (
     BenchConfig,
     PipelineConfig,
+    _canonical_orientation,
     _segment,
     draw_trial,
     run_bench,
@@ -18,11 +20,11 @@ from cuboidpose.bench import (
     scene_spec_for,
 )
 from cuboidpose.cli import main
-from cuboidpose.correction import make_reference_face
-from cuboidpose.errors import ParseError, PipelineError
-from cuboidpose.geometry import rotation_angle
-from cuboidpose.io import save_scene, write_kv
-from cuboidpose.registration import RegistrationParams
+from cuboidpose.correction import correct_pose, make_reference_face
+from cuboidpose.errors import ParseError, PipelineError, RegistrationFailed
+from cuboidpose.geometry import Pose, rotation_angle
+from cuboidpose.io import load_intrinsics, load_pgm16, load_ppm, save_scene, write_kv
+from cuboidpose.registration import RegistrationParams, coarse_register
 from cuboidpose.segmentation import HsvRange, target_axis_points
 from cuboidpose.synth import render_scene
 from conftest import face_plane, symmetric_rot_err_deg
@@ -325,11 +327,114 @@ def test_front_end_ignores_a_same_coloured_speck(size):
     clean = _segment(rgb, depth, config.intrinsics, front_end)
     specked = rgb.copy()
     specked[20 : 20 + size, 20 : 20 + size] = (200, 40, 40)
-    segment, t1, t2, quad = _segment(specked, depth, config.intrinsics, front_end)
-    assert segment.points.tobytes() == clean[0].points.tobytes()
-    assert t1.tobytes() == clean[1].tobytes()
-    assert t2.tobytes() == clean[2].tobytes()
-    assert quad.corners.tobytes() == clean[3].corners.tobytes()
+    face = _segment(specked, depth, config.intrinsics, front_end)
+    assert face.segment.points.tobytes() == clean.segment.points.tobytes()
+    assert face.t1.tobytes() == clean.t1.tobytes()
+    assert face.t2.tobytes() == clean.t2.tobytes()
+    assert face.quad.corners.tobytes() == clean.quad.corners.tobytes()
+    assert face.center.tobytes() == clean.center.tobytes()
+    assert face.normal.tobytes() == clean.normal.tobytes()
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Calls of the 4-point search made through `run_pipeline`."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return coarse_register(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "coarse_register", counted)
+    return calls
+
+
+@pytest.fixture
+def far_start(monkeypatch):
+    """Moves the plane start pose 1 m back, where no grid point lands near
+    the face, so its check scores 0 and the search must run."""
+    plane_pose = bench._plane_pose
+
+    def far(face):
+        pose = plane_pose(face)
+        return Pose(pose.r, pose.t + np.array([0.0, 0.0, 1.0]))
+
+    monkeypatch.setattr(bench, "_plane_pose", far)
+
+
+def _in_envelope(pose, gt) -> bool:
+    """Criterion 06's envelope: 3.3 deg and 5.3 mm."""
+    trans_mm = np.linalg.norm(pose.t - gt.t) * 1000.0
+    return symmetric_rot_err_deg(pose.r, gt.r) <= 3.3 and trans_mm <= 5.3
+
+
+def test_pipeline_takes_the_plane_pose_without_searching(tmp_path, drawn, search_calls):
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    result = run_pipeline(str(tmp_path), PipelineConfig(cuboid=drawn.spec.cuboid))
+    assert search_calls == []
+    assert result.searched is False
+    assert result.coarse_score >= RegistrationParams.min_score
+    assert _in_envelope(result.pose, drawn.gt_pose)
+
+
+def test_pipeline_searches_when_the_plane_check_fails(
+    tmp_path, drawn, search_calls, far_start
+):
+    """The fallback is the paper's route unchanged: the search's pose,
+    corrected, then folded to the canonical orientation."""
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    config = PipelineConfig(cuboid=drawn.spec.cuboid)
+    result = run_pipeline(str(tmp_path), config)
+    assert len(search_calls) == 1
+    assert result.searched is True
+
+    rgb = load_ppm(tmp_path / "rgb.ppm")
+    depth = load_pgm16(tmp_path / "depth.pgm")
+    intr = load_intrinsics(tmp_path / "intrinsics.txt")
+    face = _segment(rgb, depth, intr, config)
+    ref = make_reference_face(config.cuboid, config.pitch_m)
+    coarse = coarse_register(ref.cloud, face.segment, config.registration)
+    normal = np.array(coarse.pose.r[:, 2])
+    want, report = correct_pose(coarse.pose, ref, face.t1, face.t2, normal)
+    want = _canonical_orientation(want, face.t1, face.t2)
+    assert result.pose.matrix.tobytes() == want.matrix.tobytes()
+    assert result.coarse_score == coarse.score
+    assert result.report.yaw_error_deg == report.yaw_error_deg
+
+
+def test_pipeline_failed_check_and_search_names_coarse_register(
+    tmp_path, drawn, far_start
+):
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    # no search winner can score above 1
+    config = PipelineConfig(cuboid=drawn.spec.cuboid, reg_min_score=1.01)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(str(tmp_path), config)
+    assert err.value.stage == "coarse_register"
+    assert isinstance(err.value.__cause__, RegistrationFailed)
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_default_pipeline_needs_no_search(tmp_path, search_calls, trial):
+    """The CLI's default settings (SOR on) on the default synthetic scenes of
+    `cuboidpose synth --seed 7`: the plane pose passes its check, so the 4-point
+    search, which took up to tens of seconds a frame here, never runs."""
+    config = BenchConfig(master_seed=7)
+    scene_seed, gt, corner, _, _ = draw_trial(config, trial)
+    _write_scene(tmp_path, scene_spec_for(config, scene_seed, gt, corner))
+    result = run_pipeline(str(tmp_path), PipelineConfig())
+    assert search_calls == []
+    assert result.searched is False
+    assert _in_envelope(result.pose, gt)
 
 
 def test_pipeline_missing_files(tmp_path):

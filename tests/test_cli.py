@@ -50,9 +50,12 @@ def test_pipeline_on_synth_scene(tmp_path, capsys):
     assert rc == 0
     assert "pose matrix (row major):" in captured.out
     assert "coarse_score=" in captured.out
+    # a clean scene's face-plane pose passes its check: no 4-point search
+    assert "searched=0" in captured.out
     kv = read_kv(out / "pose.txt")
     assert len(kv["pose"].split()) == 16
     assert float(kv["coarse_score"]) >= 0.5
+    assert kv["searched"] == "0"
 
 
 def test_pipeline_unknown_config_key(tmp_path, capsys):
