@@ -18,7 +18,7 @@ from .correction import (
     correct_pose,
     make_reference_face,
 )
-from .errors import CuboidPoseError, ParseError, PipelineError
+from .errors import CuboidPoseError, NoRoiMatch, ParseError, PipelineError
 from .filters import statistical_outlier_removal, voxel_downsample
 from .geometry import (
     PointCloud,
@@ -176,7 +176,8 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
     nor the outline. It sizes the face on the deprojected component, voxels
     that cloud (then drops statistical outliers when `use_sor` is on) into
     the segment, and takes the axis points where the pixel rays of the
-    outline quadrilateral's corners meet the face plane. That plane runs
+    outline quadrilateral's corners meet the face plane, which must lie the
+    face's width apart (`_check_axis_length`). That plane runs
     through the mean of the deprojected component and is normal to the smallest
     axis of the ROI gate's box; the box's center would follow the noise
     extremes along the normal. The ROI gate runs before voxelling because
@@ -201,7 +202,21 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
         quad = fit_quadrilateral(mask)
         center, normal = cloud.points.mean(axis=0), obb.axes[2]
         t1, t2 = target_axis_points(quad, intr, center, normal)
+        _check_axis_length(t1, t2, config.roi)
     return FrontEnd(segment, t1, t2, quad, center, normal)
+
+
+def _check_axis_length(t1, t2, roi: RoiSpec) -> None:
+    """Raise NoRoiMatch unless the axis points lie the face's width apart,
+    within the ROI tolerance. Points taken on the long edges instead lie the
+    face's height apart; the start pose would then carry a yaw turned 90
+    degrees, which the plane check cannot see and the correction keeps."""
+    length = float(np.linalg.norm(t2 - t1))
+    if abs(length - roi.width) > roi.tolerance * roi.width:
+        raise NoRoiMatch(
+            f"axis points {length:.3f} m apart, expected the face width "
+            f"{roi.width:.3f} m within {roi.tolerance:.0%}"
+        )
 
 
 def _plane_pose(face: FrontEnd) -> Pose:

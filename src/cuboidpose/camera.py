@@ -87,6 +87,16 @@ def _check_dims(intr: CameraIntrinsics, img) -> None:
         )
 
 
+def pixel_box(image: np.ndarray) -> tuple[slice, slice] | None:
+    """Row and column slices of the bounding box of an image's nonzero
+    pixels, or None when there are none."""
+    rows = np.flatnonzero(image.any(axis=1))
+    if len(rows) == 0:
+        return None
+    cols = np.flatnonzero(image.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
 def back_project(intr: CameraIntrinsics, x, y, z) -> np.ndarray:
     """Camera-frame points for pixel coordinates and depths, shape
     `np.shape(z) + (3,)`; scalars give one point, arrays one per element."""
@@ -126,9 +136,20 @@ def project(intr: CameraIntrinsics, point) -> tuple[tuple[float, float], float]:
 
 
 def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -> PointCloud:
-    """Point cloud of every masked pixel with valid depth, row-major pixel order."""
+    """Point cloud of every masked pixel with valid depth, row-major pixel order.
+
+    The pixel test, the scan and the depth gather run on the mask's bounding
+    box only, with the box's offset added back to the pixel coordinates; the
+    box's row-major order is the full frame's, so the points are those of a
+    full-frame scan, bit for bit. An empty mask gives a (0, 3) cloud.
+    """
     _check_dims(intr, depth)
     _check_dims(intr, mask)
-    ys, xs = np.nonzero((mask.data != 0) & (depth.data > 0))
-    return PointCloud(back_project(intr, xs, ys, depth.data[ys, xs]))
+    box = pixel_box(mask.data)
+    if box is None:
+        return PointCloud(np.empty((0, 3)))
+    rows, cols = box
+    block = depth.data[box]
+    ys, xs = np.nonzero((mask.data[box] != 0) & (block > 0))
+    return PointCloud(back_project(intr, xs + cols.start, ys + rows.start, block[ys, xs]))
 

@@ -18,21 +18,24 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 
     Voxels are grouped by a lexsort of the integer cell indices, so the cells
     come out in that order without a combined linear key (which would overflow
-    int64 for wide clouds at fine leaves). `np.bincount` with weights adds
-    each voxel's members in input order, the same additions a per-point
-    accumulation makes, so the centroids are exact.
+    int64 for wide clouds at fine leaves). The indices are built one axis at a
+    time, each in its own contiguous array, and a voxel starts wherever any
+    axis's sorted index differs from the one before it. `np.bincount` with
+    weights adds each voxel's members in input order, the same additions a
+    per-point accumulation makes, so the centroids are exact.
     """
     if leaf <= 0:
         raise ValueError("leaf size must be positive")
     n = len(cloud)
     if n == 0:
         return PointCloud(np.empty((0, 3)))
-    idx = np.floor(cloud.points / leaf).astype(np.int64)
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
-    cells = idx[order]
-    starts = np.empty(n, dtype=bool)
+    keys = [np.floor(cloud.points[:, j] / leaf).astype(np.int64) for j in range(3)]
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(n, dtype=bool)
     starts[0] = True
-    np.any(cells[1:] != cells[:-1], axis=1, out=starts[1:])
+    for key in keys:
+        cells = key[order]
+        starts[1:] |= cells[1:] != cells[:-1]
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.cumsum(starts) - 1
     counts = np.bincount(inv).astype(np.float64)

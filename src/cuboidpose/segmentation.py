@@ -10,7 +10,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .camera import CameraIntrinsics, MaskImage, back_project
+from .camera import CameraIntrinsics, MaskImage, back_project, pixel_box
 from .errors import (
     DegenerateCloud,
     InvalidDepth,
@@ -109,15 +109,18 @@ def hsv_threshold(rgb: np.ndarray, rng: HsvRange) -> MaskImage:
     """Binary mask of pixels inside the HSV box; hue wraps when h_lo > h_hi.
 
     With `s_lo > 0` only chromatic pixels can pass: a pixel whose channels are
-    all equal has s = 0. Those candidates are found with integer max/min over
-    the channels, and `rgb_to_hsv` runs on them alone. Each pixel still goes
-    through the same float64 formula, so the mask is exactly that of
-    converting the whole frame; only gray pixels skip it. The candidates are
-    cut from the flattened pixel axis with `np.compress`.
+    all equal has s = 0. Those candidates are found with two integer
+    comparisons, `(r != g) | (g != b)`, and `rgb_to_hsv` runs on them alone.
+    In the interleaved bytes each pixel's r, g and b are neighbours, so one
+    contiguous comparison of every byte with the next gives both tests. Each
+    pixel still goes through the same float64 formula, so the mask is exactly
+    that of converting the whole frame; only gray pixels skip it. The
+    candidates are cut from the flattened pixel axis with `np.compress`.
     """
     if rng.s_lo > 0:
-        r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-        candidate = np.maximum(np.maximum(r, g), b) != np.minimum(np.minimum(r, g), b)
+        flat = rgb.reshape(-1)
+        differs = flat[1:] != flat[:-1]  # byte 3i is r != g, byte 3i + 1 g != b
+        candidate = (differs[0::3] | differs[1::3]).reshape(rgb.shape[:2])
     else:
         candidate = np.ones(rgb.shape[:2], dtype=bool)
     h, s, v = rgb_to_hsv(np.compress(candidate.ravel(), rgb.reshape(-1, 3), axis=0))
@@ -200,40 +203,36 @@ def _shoelace(poly: np.ndarray) -> float:
 
 def _merge_least_area_edge(poly: np.ndarray) -> np.ndarray | None:
     """Remove one edge of a convex CCW polygon by extending its neighbors to
-    their intersection, choosing the removal that adds the least area."""
-    n = len(poly)
-    best_area = np.inf
-    best = None
-    for i in range(n):
-        a_prev, a = poly[i - 1], poly[i]
-        b, b_next = poly[(i + 1) % n], poly[(i + 2) % n]
-        u = a - a_prev
-        v = b - b_next
-        denom = u[0] * v[1] - u[1] * v[0]
-        if abs(denom) < 1e-12:
-            continue
-        d = b - a
-        s = (d[0] * v[1] - d[1] * v[0]) / denom
-        t = (d[0] * u[1] - d[1] * u[0]) / denom
-        if s <= 0 or t <= 0:
-            continue
-        w = a + s * u
-        added = 0.5 * abs((b - a)[0] * (w - a)[1] - (b - a)[1] * (w - a)[0])
-        if added < best_area:
-            best_area = added
-            best = (i, w)
-    if best is None:
+    their intersection, choosing the removal that adds the least area.
+
+    Removing edge i, from vertex a = poly[i] to poly[i + 1], extends the edge
+    u into a and the edge out of poly[i + 1] until they meet at w = a + s u.
+    All edges are scored at once, each with the arithmetic of a per-edge loop.
+    An edge is skipped when its neighbours are parallel (|denom| < 1e-12) or
+    meet behind it (s <= 0 or t <= 0), and a NaN or infinite added area is
+    never chosen; among equal areas the lowest index wins. Returns None when
+    every edge is skipped.
+    """
+    # vertices i + 1, i - 1 and i + 2 for every i
+    b = np.concatenate((poly[1:], poly[:1]))
+    u = poly - np.concatenate((poly[-1:], poly[:-1]))
+    v = b - np.concatenate((poly[2:], poly[:2]))
+    d = b - poly
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        denom = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        s = (d[:, 0] * v[:, 1] - d[:, 1] * v[:, 0]) / denom
+        t = (d[:, 0] * u[:, 1] - d[:, 1] * u[:, 0]) / denom
+        w = poly + s[:, None] * u
+        rel = w - poly
+        added = 0.5 * np.abs(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0])
+    skip = (np.abs(denom) < 1e-12) | (s <= 0) | (t <= 0) | np.isnan(added)
+    added[skip] = np.inf
+    i = int(np.argmin(added))
+    if not added[i] < np.inf:
         return None
-    i, w = best
-    merged = []
-    for j in range(n):
-        if j == i:
-            merged.append(w)
-            continue
-        if j == (i + 1) % n:
-            continue
-        merged.append(poly[j])
-    return np.array(merged)
+    # w replaces vertex i and vertex i + 1 goes; for the last i that is vertex 0
+    merged = np.concatenate((poly[:i], w[i : i + 1], poly[i + 2 :]))
+    return merged[1:] if i == len(poly) - 1 else merged
 
 
 def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
@@ -291,11 +290,10 @@ def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
 
 def _box(binary: np.ndarray) -> tuple[slice, slice]:
     """Row and column slices of the set pixels' bounding box."""
-    rows = np.flatnonzero(binary.any(axis=1))
-    if len(rows) == 0:
+    box = pixel_box(binary)
+    if box is None:
         raise NoComponent("mask is empty")
-    cols = np.flatnonzero(binary.any(axis=0))
-    return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    return box
 
 
 def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:

@@ -8,11 +8,11 @@ quantized to whole millimeters exactly as a 16-bit sensor would report it.
 Full-frame work runs on the pixel axis: colours are painted one channel at a
 time, so no step broadcasts, masks or gathers over the 3-wide colour axis.
 The noise and the quantization go one block of rows at a time, in place, and
-the face's ray casting keeps its intermediates to the face's pixel box; so a
-1280x720 bench render peaks about 11 MB above the 11 MB it returns, nearly
-all of it in the box's ray casting. Its full-frame cloud is back-projected
-only when its points are first read, which only the tests do; the pipeline
-reads the images, and the benchmark tracer the cloud's length.
+the face's ray casting keeps four float arrays the size of the face's pixel
+box; so a 1280x720 bench render peaks about 3 MB above the 11 MB it returns.
+Its full-frame cloud is back-projected only when its points are first read,
+which only the tests do; the pipeline reads the images, and the benchmark
+tracer the cloud's length.
 """
 
 from __future__ import annotations
@@ -116,32 +116,43 @@ def _draw_face(
 
     Returns the face-frame coordinates `lx`, `ly` of every box pixel's ray hit
     and the pixels the face won; the other box-sized intermediates die here.
+
+    The ray directions are a row vector of columns and a column vector of rows
+    that broadcast over the box. Each hit coordinate is summed term by term
+    into its own buffer, with one scratch buffer for the terms, which are
+    recomputed rather than kept: every pixel's hit (x, y, z) = z (dir_x,
+    dir_y, 1) gets the arithmetic of `lx = (x - tx) r00 + (y - ty) r10 +
+    (z - tz) r20` (and `ly` alike), while only four box-sized float arrays
+    live at once.
     """
     intr, pose = spec.intrinsics, spec.gt_pose
     rows, cols = box
-    gx, gy = np.meshgrid(
-        np.arange(cols.start, cols.stop), np.arange(rows.start, rows.stop)
-    )
-    dir_x = (gx - intr.cx) / intr.fx
-    dir_y = (gy - intr.cy) / intr.fy
+    dir_x = ((np.arange(cols.start, cols.stop) - intr.cx) / intr.fx)[None, :]
+    dir_y = ((np.arange(rows.start, rows.stop) - intr.cy) / intr.fy)[:, None]
     normal = pose.r[:, 2]
     offset = float(pose.t @ normal)
-    denom = dir_x * normal[0] + dir_y * normal[1] + normal[2]
-    safe = np.abs(denom) > 1e-9
-    z = np.where(safe, offset / np.where(safe, denom, 1.0), -1.0)
-    p_x = dir_x * z
-    p_y = dir_y * z
-    rel_x = p_x - pose.t[0]
-    rel_y = p_y - pose.t[1]
-    rel_z = z - pose.t[2]
-    lx = rel_x * pose.r[0, 0] + rel_y * pose.r[1, 0] + rel_z * pose.r[2, 0]
-    ly = rel_x * pose.r[0, 1] + rel_y * pose.r[1, 1] + rel_z * pose.r[2, 1]
-    inside = (
-        safe
-        & (z > 1e-6)
-        & (np.abs(lx) <= spec.cuboid.width / 2.0)
-        & (np.abs(ly) <= spec.cuboid.height / 2.0)
-    )
+    z = dir_x * normal[0] + dir_y * normal[1]
+    z += normal[2]
+    safe = (z > 1e-9) | (z < -1e-9)
+    z[~safe] = 1.0
+    np.divide(offset, z, out=z)
+    z[~safe] = -1.0
+
+    term = np.empty_like(z)
+    lx, ly = dir_x * z, dir_x * z
+    for col, out in enumerate((lx, ly)):
+        out -= pose.t[0]
+        out *= pose.r[0, col]
+        np.multiply(dir_y, z, out=term)
+        term -= pose.t[1]
+        term *= pose.r[1, col]
+        out += term
+        np.subtract(z, pose.t[2], out=term)
+        term *= pose.r[2, col]
+        out += term
+    inside = safe & (z > 1e-6)
+    inside &= np.abs(lx, out=term) <= spec.cuboid.width / 2.0
+    inside &= np.abs(ly, out=term) <= spec.cuboid.height / 2.0
     block = depth[box]
     wins = inside & ((block == 0) | (z < block))
     np.copyto(block, z, where=wins)

@@ -19,9 +19,10 @@ from cuboidpose.bench import (
     run_trial,
     scene_spec_for,
 )
+from cuboidpose.camera import back_project
 from cuboidpose.cli import main
 from cuboidpose.correction import correct_pose, make_reference_face
-from cuboidpose.errors import ParseError, PipelineError, RegistrationFailed
+from cuboidpose.errors import NoRoiMatch, ParseError, PipelineError, RegistrationFailed
 from cuboidpose.geometry import Pose, rotation_angle
 from cuboidpose.io import load_intrinsics, load_pgm16, load_ppm, save_scene, write_kv
 from cuboidpose.registration import RegistrationParams, coarse_register
@@ -421,6 +422,38 @@ def test_pipeline_failed_check_and_search_names_coarse_register(
         run_pipeline(str(tmp_path), config)
     assert err.value.stage == "coarse_register"
     assert isinstance(err.value.__cause__, RegistrationFailed)
+
+
+def long_edge_midpoints(quad, intr, point, normal):
+    """`target_axis_points` with the wrong edge pair: the face-plane
+    midpoints of the outline's two longer edges."""
+    lengths = quad.edge_lengths
+    pair = (1, 3) if lengths[0] + lengths[2] <= lengths[1] + lengths[3] else (0, 2)
+    rays = back_project(intr, quad.corners[:, 0], quad.corners[:, 1], np.ones(4))
+    pts = rays * ((point @ normal) / (rays @ normal))[:, None]
+    return tuple((pts[i] + pts[(i + 1) % 4]) / 2.0 for i in pair)
+
+
+def test_pipeline_rejects_axis_points_on_the_long_edges(tmp_path, drawn, monkeypatch):
+    """Axis points on the long edges turn the start pose 90 degrees about the
+    face normal. The plane check still passes that pose and the correction
+    keeps its fold, so without the length check a wrong pose comes back; with
+    it, the frame fails at `t_points`."""
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    config = PipelineConfig(cuboid=drawn.spec.cuboid)
+    monkeypatch.setattr(bench, "target_axis_points", long_edge_midpoints)
+    with monkeypatch.context() as unchecked:
+        unchecked.setattr(bench, "_check_axis_length", lambda t1, t2, roi: None)
+        turned = run_pipeline(str(tmp_path), config)
+    assert turned.searched is False
+    assert abs(symmetric_rot_err_deg(turned.pose.r, drawn.gt_pose.r) - 90.0) < 1.0
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(str(tmp_path), config)
+    assert err.value.stage == "t_points"
+    assert isinstance(err.value.__cause__, NoRoiMatch)
 
 
 @pytest.mark.parametrize("trial", range(4))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cuboidpose import (
@@ -11,6 +14,7 @@ from cuboidpose import (
     inverse_project,
     project,
 )
+from cuboidpose.camera import back_project
 from cuboidpose.errors import (
     BehindCamera,
     DimensionMismatch,
@@ -148,6 +152,86 @@ def test_deprojected_face_matches_dimensions(frontal):
     assert abs(obb.half_extents[0] - 0.15) < px
     assert abs(obb.half_extents[1] - 0.10) < px
     assert obb.half_extents[2] < 1e-6
+
+
+def deproject_mask_oracle(intr, depth, mask):
+    """The full-frame scan: every pixel tested, gathered in row-major order;
+    `deproject_mask` must match it bit for bit."""
+    ys, xs = np.nonzero((mask.data != 0) & (depth.data > 0))
+    return back_project(intr, xs, ys, depth.data[ys, xs])
+
+
+@st.composite
+def masked_depths(draw):
+    """Small frames with zero-depth pixels scattered through them, and masks
+    that are empty, one pixel in a corner, a band along one border, a
+    rectangle anywhere (often touching borders) or arbitrary pixels."""
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    intr = CameraIntrinsics(
+        fx=draw(st.floats(50.0, 1000.0)),
+        fy=draw(st.floats(50.0, 1000.0)),
+        cx=w / 2.0,
+        cy=h / 2.0,
+        width=w,
+        height=h,
+    )
+    depth = draw(
+        arrays(
+            np.float64,
+            (h, w),
+            elements=st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+            fill=st.nothing(),
+        )
+    )
+    mask = np.zeros((h, w), np.uint8)
+    kind = draw(st.sampled_from(["empty", "corner", "border", "rect", "pixels"]))
+    if kind == "corner":
+        mask[draw(st.sampled_from([0, h - 1])), draw(st.sampled_from([0, w - 1]))] = 255
+    elif kind == "border":
+        every = slice(None)
+        sides = [(0, every), (h - 1, every), (every, 0), (every, w - 1)]
+        mask[draw(st.sampled_from(sides))] = 255
+    elif kind == "rect":
+        r0, r1 = sorted(draw(st.lists(st.integers(0, h), min_size=2, max_size=2)))
+        c0, c1 = sorted(draw(st.lists(st.integers(0, w), min_size=2, max_size=2)))
+        mask[r0:r1, c0:c1] = 255
+    elif kind == "pixels":
+        values = st.sampled_from([0, 1, 255])
+        mask = draw(arrays(np.uint8, (h, w), elements=values, fill=st.nothing()))
+    return intr, DepthImage(depth), MaskImage(mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_depths())
+def test_deproject_matches_full_frame_oracle(case):
+    """Cropping to the mask's box keeps every point, its bits and its order."""
+    intr, depth, mask = case
+    got = deproject_mask(intr, depth, mask).points
+    want = deproject_mask_oracle(intr, depth, mask)
+    assert got.shape == want.shape
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_deproject_matches_oracle_on_a_face_with_holes(frontal):
+    depth = DepthImage(frontal.depth.data.copy())
+    ys, xs = np.nonzero(frontal.gt.face_mask.data)
+    depth.data[ys[::7], xs[::7]] = 0.0
+    got = deproject_mask(frontal.intr, depth, frontal.gt.face_mask).points
+    want = deproject_mask_oracle(frontal.intr, depth, frontal.gt.face_mask)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(479, 640), (480, 639), (481, 641)])
+def test_deproject_size_mismatch(intr640, shape):
+    """A depth or mask image of another size raises before any crop."""
+    good_depth = DepthImage(np.ones((480, 640)))
+    good_mask = MaskImage(np.full((480, 640), 255, np.uint8))
+    with pytest.raises(DimensionMismatch):
+        deproject_mask(intr640, good_depth, MaskImage(np.full(shape, 255, np.uint8)))
+    with pytest.raises(DimensionMismatch):
+        deproject_mask(intr640, DepthImage(np.ones(shape)), good_mask)
 
 
 def test_intrinsics_validation():

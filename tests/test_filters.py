@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from cuboidpose import (
@@ -79,6 +82,61 @@ def test_voxel_order_and_attachments(spread, leaf):
     assert len(out) == len(keys)
     assert (np.asarray(keys) < 0).any()
     assert_allclose(out.points, points, rtol=1e-12, atol=1e-9 * leaf)
+
+
+def voxel_downsample_oracle(points, leaf):
+    """The (n, 3) cell keys compared row against row; `voxel_downsample`,
+    which keys and compares one axis at a time, must match it bit for bit."""
+    n = len(points)
+    idx = np.floor(points / leaf).astype(np.int64)
+    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0]))
+    cells = idx[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(cells[1:] != cells[:-1], axis=1, out=starts[1:])
+    inv = np.empty(n, dtype=np.int64)
+    inv[order] = np.cumsum(starts) - 1
+    counts = np.bincount(inv).astype(np.float64)
+    sums = [np.bincount(inv, weights=points[:, j]) for j in range(3)]
+    return np.column_stack(sums) / counts[:, None]
+
+
+@st.composite
+def voxel_clouds(draw):
+    """Clouds of up to 120 points picked, with repeats and in any order, from
+    1 to 40 points: either in a few cells around the origin (negative indices,
+    points exactly on cell boundaries) at leaves from 1e-4 to 1, or across
+    1e6 m at 1e-3."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        leaf = 1e-3
+        pts = draw(
+            arrays(np.float64, (n, 3), elements=st.floats(-5e5, 5e5), fill=st.nothing())
+        )
+    else:
+        leaf = draw(st.floats(1e-4, 1.0))
+        cells = draw(
+            arrays(np.int64, (n, 3), elements=st.integers(-3, 3), fill=st.nothing())
+        )
+        frac = draw(
+            arrays(
+                np.float64,
+                (n, 3),
+                elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+                fill=st.nothing(),
+            )
+        )
+        pts = (cells + frac) * leaf
+    pick = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n))
+    return pts[pick], leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(voxel_clouds())
+def test_voxel_matches_row_key_oracle(case):
+    points, leaf = case
+    got = voxel_downsample(PointCloud(points), leaf).points
+    assert got.tobytes() == voxel_downsample_oracle(points, leaf).tobytes()
 
 
 def test_voxel_bad_leaf():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy import ndimage
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from cuboidpose import (
     CameraIntrinsics,
@@ -442,6 +442,123 @@ def test_quadrilateral_two_components(monkeypatch):
     assert np.array_equal(pts, want_boundary)
     assert np.array_equal(boundary, want_boundary)
     assert np.array_equal(quad.corners, fit_quadrilateral(alone).corners)
+
+
+def merge_least_area_edge_loop(poly):
+    """The per-vertex loop that `_merge_least_area_edge` scores at once; the
+    two must agree bit for bit, None included."""
+    n = len(poly)
+    best_area = np.inf
+    best = None
+    for i in range(n):
+        a_prev, a = poly[i - 1], poly[i]
+        b, b_next = poly[(i + 1) % n], poly[(i + 2) % n]
+        u = a - a_prev
+        v = b - b_next
+        denom = u[0] * v[1] - u[1] * v[0]
+        if abs(denom) < 1e-12:
+            continue
+        d = b - a
+        s = (d[0] * v[1] - d[1] * v[0]) / denom
+        t = (d[0] * u[1] - d[1] * u[0]) / denom
+        if s <= 0 or t <= 0:
+            continue
+        w = a + s * u
+        added = 0.5 * abs((b - a)[0] * (w - a)[1] - (b - a)[1] * (w - a)[0])
+        if added < best_area:
+            best_area = added
+            best = (i, w)
+    if best is None:
+        return None
+    i, w = best
+    merged = []
+    for j in range(n):
+        if j == i:
+            merged.append(w)
+            continue
+        if j == (i + 1) % n:
+            continue
+        merged.append(poly[j])
+    return np.array(merged)
+
+
+def ccw_hull(pts):
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        assume(False)
+    poly = pts[hull.vertices]
+    return poly[::-1] if _shoelace(poly) < 0 else poly
+
+
+_coord = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def hull_polygons(draw):
+    """CCW polygons: convex hulls of pixel-lattice points (whose symmetric
+    shapes tie in added area), with or without an edge's midpoint inserted
+    as a straight-angle vertex (where s or t is exactly 0), of rasterized
+    rotated rectangles (the outlines `fit_quadrilateral` reduces) and of
+    real-valued points; parallelograms nudged by at most 1e-13, whose
+    opposite edges are parallel to within the 1e-12 skip, so every edge may
+    be skipped and the merge gives None; and star-shaped polygons whose
+    vertex radii span 200 decades, where products overflow and some added
+    areas come out NaN or infinite."""
+    kind = draw(
+        st.sampled_from(["lattice", "raster", "real", "parallelogram", "overflow"])
+    )
+    if kind == "lattice":
+        k = draw(st.integers(2, 30))
+        n = draw(st.integers(3, 40))
+        pts = draw(
+            arrays(np.int64, (n, 2), elements=st.integers(0, k), fill=st.nothing())
+        ).astype(np.float64)
+        poly = ccw_hull(pts)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(poly) - 1))
+            mid = (poly[i] + poly[(i + 1) % len(poly)]) / 2.0
+            poly = np.insert(poly, i + 1, mid, axis=0)
+        return poly
+    if kind == "raster":
+        w, h = draw(st.floats(3.0, 60.0)), draw(st.floats(3.0, 60.0))
+        angle = draw(st.floats(0.0, 180.0))
+        mask = rect_mask(w, h, angle, shape=(90, 90), center=(45, 45))
+        ys, xs = np.nonzero(mask.data)
+        assume(len(xs) >= 3)
+        return ccw_hull(np.column_stack([xs, ys]).astype(np.float64))
+    if kind == "real":
+        pts = draw(arrays(np.float64, (draw(st.integers(3, 30)), 2), elements=_coord))
+        return ccw_hull(pts)
+    if kind == "overflow":
+        n = draw(st.integers(5, 8))
+        angle = np.sort(draw(arrays(np.float64, n, elements=st.floats(0.0, 6.28))))
+        radius = 10.0 ** draw(arrays(np.float64, n, elements=st.floats(0.0, 200.0)))
+        return np.column_stack([np.cos(angle), np.sin(angle)]) * radius[:, None]
+    a, b, c = (draw(st.integers(1, 5)) for _ in range(3))
+    eps = draw(st.floats(-1e-13, 1e-13))
+    return np.array([[0.0, 0.0], [a, 0.0], [a + c, b + eps], [c, b]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_polygons())
+def test_merge_least_area_edge_matches_loop(poly):
+    """Each merge, down to a triangle or to None, equals the loop's."""
+    while len(poly) > 3:
+        with np.errstate(all="ignore"):
+            want = merge_least_area_edge_loop(poly)
+        got = _merge_least_area_edge(poly)
+        if want is None:
+            assert got is None
+            return
+        assert got.tobytes() == want.tobytes()
+        poly = want
+
+
+def test_merge_least_area_edge_parallel_sides_give_none():
+    rectangle = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
+    assert merge_least_area_edge_loop(rectangle) is None
+    assert _merge_least_area_edge(rectangle) is None
 
 
 # bench scenes without and with the 10 % corner dropout
