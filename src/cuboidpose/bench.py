@@ -153,7 +153,7 @@ class FrontEnd(NamedTuple):
     t1: np.ndarray  # axis point on one short edge of the outline, on the face plane
     t2: np.ndarray  # axis point on the other short edge
     quad: Quadrilateral2D  # outline of the mask's largest component
-    center: np.ndarray  # mean of the deprojected component
+    center: np.ndarray  # mean of the deprojected component (the ROI box's `mean`)
     normal: np.ndarray  # smallest axis of the ROI gate's box, sign as PCA gives it
 
 
@@ -200,7 +200,7 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
             )
     with _stage("t_points"):
         quad = fit_quadrilateral(mask)
-        center, normal = cloud.points.mean(axis=0), obb.axes[2]
+        center, normal = obb.mean, obb.axes[2]
         t1, t2 = target_axis_points(quad, intr, center, normal)
         _check_axis_length(t1, t2, config.roi)
     return FrontEnd(segment, t1, t2, quad, center, normal)

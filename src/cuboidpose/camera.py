@@ -1,7 +1,10 @@
 """Pinhole camera model: projection, inverse projection, depth image handling.
 
-Depth images store meters as float64 with 0 marking invalid pixels; they are
-quantized to whole millimeters when written to disk.
+Depth images give meters as float64 with 0 marking invalid pixels; they are
+quantized to whole millimeters when written to disk. An image loaded from disk
+(`io.load_pgm16`) holds those millimeters and converts to meters only what is
+read: the box `deproject_mask` reads through `DepthImage.block`, or the full
+frame on the first read of `data`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,13 @@ class CameraIntrinsics:
 
 @dataclass
 class DepthImage:
-    """Per-pixel depth in meters, shape (height, width); 0 means no return."""
+    """Per-pixel depth in meters, shape (height, width); 0 means no return.
+
+    Values must be finite and non-negative, checked with one min and one max
+    reduction: NaN propagates through the min, and an infinite value makes
+    the max infinite. `io.load_pgm16` returns a subclass that holds the file's
+    millimeters and converts `data` on its first read.
+    """
 
     data: np.ndarray
 
@@ -44,7 +53,8 @@ class DepthImage:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 2:
             raise ValueError("depth data must be 2D")
-        if np.any(~np.isfinite(self.data)) or np.any(self.data < 0):
+        d = self.data
+        if not (d.min(initial=0.0) >= 0.0 and np.isfinite(d.max(initial=0.0))):
             raise ValueError("depth values must be finite and non-negative")
 
     @property
@@ -54,6 +64,11 @@ class DepthImage:
     @property
     def height(self) -> int:
         return self.data.shape[0]
+
+    def block(self, box: tuple[slice, slice]) -> np.ndarray:
+        """Depth in meters over a (rows, cols) slice pair, such as `pixel_box`
+        gives."""
+        return self.data[box]
 
 
 @dataclass
@@ -141,7 +156,9 @@ def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -
     The pixel test, the scan and the depth gather run on the mask's bounding
     box only, with the box's offset added back to the pixel coordinates; the
     box's row-major order is the full frame's, so the points are those of a
-    full-frame scan, bit for bit. An empty mask gives a (0, 3) cloud.
+    full-frame scan, bit for bit. The box's depth is read with
+    `DepthImage.block`, so an image loaded from disk converts only that box
+    to meters. An empty mask gives a (0, 3) cloud.
     """
     _check_dims(intr, depth)
     _check_dims(intr, mask)
@@ -149,7 +166,7 @@ def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -
     if box is None:
         return PointCloud(np.empty((0, 3)))
     rows, cols = box
-    block = depth.data[box]
+    block = depth.block(box)
     ys, xs = np.nonzero((mask.data[box] != 0) & (block > 0))
     return PointCloud(back_project(intr, xs + cols.start, ys + rows.start, block[ys, xs]))
 

@@ -88,17 +88,21 @@ class Obb:
 
     `axes` rows are unit directions ordered major to minor; `half_extents`
     are the matching half sizes, non-negative and sorted descending for any
-    non-degenerate input.
+    non-degenerate input. `mean` is the centroid of the points the box was
+    fitted to (`pts.mean(axis=0)`, the origin of the PCA), kept so callers
+    need not reduce the cloud again; `center` is the box's own midpoint.
     """
 
     center: np.ndarray
     axes: np.ndarray
     half_extents: np.ndarray
+    mean: np.ndarray
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
         self.axes = np.asarray(self.axes, dtype=np.float64).reshape(3, 3)
         self.half_extents = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
+        self.mean = np.asarray(self.mean, dtype=np.float64).reshape(3)
 
 
 def apply_transform(pose: Pose, cloud: PointCloud) -> PointCloud:
@@ -145,7 +149,7 @@ def fit_obb(cloud: PointCloud) -> Obb:
     lo = proj.min(axis=1)
     hi = proj.max(axis=1)
     center = mean + axes.T @ ((lo + hi) / 2.0)
-    return Obb(center, axes, (hi - lo) / 2.0)
+    return Obb(center, axes, (hi - lo) / 2.0, mean)
 
 
 def signed_angle_in_plane(u, v, normal) -> float:

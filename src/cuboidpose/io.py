@@ -4,6 +4,7 @@ sidecar."""
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .geometry import Pose
 
 # ---------------------------------------------------------------- PNM images
 
-def _read_pnm_header(data: bytes, magic: bytes, path):
+def _read_pnm_header(data: bytes | bytearray, magic: bytes, path):
     if not data.startswith(magic):
         raise ParseError(f"{path}: expected {magic.decode()} magic", 1)
     fields = []
@@ -34,11 +35,18 @@ def _read_pnm_header(data: bytes, magic: bytes, path):
             raise ParseError(f"{path}: truncated header")
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(v) for v in fields)
-    except ValueError:
-        raise ParseError(f"{path}: non-numeric header field") from None
+    if not all(v.isdigit() for v in fields):
+        raise ParseError(f"{path}: non-numeric header field")
+    width, height, maxval = (int(v) for v in fields)
     return width, height, maxval, pos
+
+
+def _pixels(data, pos: int, dtype, count: int, path) -> np.ndarray:
+    """The `count` pixels that follow the header, as a view of `data`;
+    ParseError when the file holds fewer."""
+    if len(data) - pos < count * np.dtype(dtype).itemsize:
+        raise ParseError(f"{path}: truncated pixel data")
+    return np.frombuffer(data, dtype=dtype, offset=pos, count=count)
 
 
 def save_pgm16(path, depth: DepthImage) -> None:
@@ -52,18 +60,63 @@ def save_pgm16(path, depth: DepthImage) -> None:
         f.write(mm.astype(">u2").tobytes())
 
 
+class _MillimeterDepth(DepthImage):
+    """A depth image that holds a file's big-endian uint16 millimeters and
+    converts to float64 meters only what is read: `block` converts its box,
+    and the first read of `data` converts the full frame and keeps it. Both
+    divide the float64 millimeters by 1000, so every value is bit-identical
+    to converting the whole frame at load. A uint16 divided by 1000 is always
+    finite and non-negative, so the image cannot fail `DepthImage`'s check,
+    and none is run. Width and height come from the millimeter array, so
+    reading them converts nothing."""
+
+    def __init__(self, mm: np.ndarray):
+        self._mm = mm
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        meters = self._mm.astype(np.float64)
+        meters /= 1000.0
+        return meters
+
+    @property
+    def width(self) -> int:
+        return self._mm.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self._mm.shape[0]
+
+    def block(self, box: tuple[slice, slice]) -> np.ndarray:
+        if "data" in self.__dict__:  # converted already, and perhaps written to
+            return self.data[box]
+        return self._mm[box].astype(np.float64) / 1000.0
+
+
+def _read_writable(path) -> bytearray:
+    """The file's bytes in a mutable buffer, so arrays over it are writable."""
+    with open(path, "rb") as f:
+        buf = bytearray(os.fstat(f.fileno()).st_size)
+        n = f.readinto(buf)
+    del buf[n:]
+    return buf
+
+
 def load_pgm16(path) -> DepthImage:
+    """Depth from a 16-bit big-endian PGM of whole millimeters.
+
+    The image holds the file's millimeters; it converts to meters the box
+    `deproject_mask` reads, and the full frame only when `data` is first
+    read (`_MillimeterDepth`). A bad magic, a maxval other than 65535 or
+    truncated pixel data raises ParseError here, at load.
+    """
     with open(path, "rb") as f:
         data = f.read()
     w, h, maxval, pos = _read_pnm_header(data, b"P5", path)
     if maxval != 65535:
         raise ParseError(f"{path}: expected 16-bit depth, maxval {maxval}")
-    raw = np.frombuffer(data, dtype=">u2", offset=pos, count=w * h)
-    if raw.size != w * h:
-        raise ParseError(f"{path}: truncated pixel data")
-    meters = raw.reshape(h, w).astype(np.float64)
-    meters /= 1000.0
-    return DepthImage(meters)
+    raw = _pixels(data, pos, ">u2", w * h, path)
+    return _MillimeterDepth(raw.reshape(h, w))
 
 
 def save_pgm8(path, mask: MaskImage) -> None:
@@ -73,15 +126,12 @@ def save_pgm8(path, mask: MaskImage) -> None:
 
 
 def load_pgm8(path) -> MaskImage:
-    with open(path, "rb") as f:
-        data = f.read()
+    data = _read_writable(path)
     w, h, maxval, pos = _read_pnm_header(data, b"P5", path)
     if maxval != 255:
         raise ParseError(f"{path}: expected 8-bit mask, maxval {maxval}")
-    raw = np.frombuffer(data, dtype=np.uint8, offset=pos, count=w * h)
-    if raw.size != w * h:
-        raise ParseError(f"{path}: truncated pixel data")
-    return MaskImage(raw.reshape(h, w).copy())
+    raw = _pixels(data, pos, np.uint8, w * h, path)
+    return MaskImage(raw.reshape(h, w))
 
 
 def save_ppm(path, rgb: np.ndarray) -> None:
@@ -93,15 +143,15 @@ def save_ppm(path, rgb: np.ndarray) -> None:
 
 
 def load_ppm(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
+    """(h, w, 3) uint8 RGB from an 8-bit binary PPM: a writable array over
+    the buffer the file was read into, with no copy. A bad magic, a maxval
+    other than 255 or truncated pixel data raises ParseError."""
+    data = _read_writable(path)
     w, h, maxval, pos = _read_pnm_header(data, b"P6", path)
     if maxval != 255:
         raise ParseError(f"{path}: expected 8-bit color, maxval {maxval}")
-    raw = np.frombuffer(data, dtype=np.uint8, offset=pos, count=w * h * 3)
-    if raw.size != w * h * 3:
-        raise ParseError(f"{path}: truncated pixel data")
-    return raw.reshape(h, w, 3).copy()
+    raw = _pixels(data, pos, np.uint8, w * h * 3, path)
+    return raw.reshape(h, w, 3)
 
 
 # ---------------------------------------------------------------- key=value

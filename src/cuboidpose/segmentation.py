@@ -92,15 +92,18 @@ def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r, g, b = (np.divide(rgb[..., i], 255.0, dtype=np.float64) for i in range(3))
     v = np.maximum(np.maximum(r, g), b)
     c = v - np.minimum(np.minimum(r, g), b)
-    h = np.zeros_like(v)
-    nz = c > 0
-    rmax = nz & (v == r)
-    gmax = nz & ~rmax & (v == g)
-    bmax = nz & ~rmax & ~gmax
-    h[rmax] = np.mod((g[rmax] - b[rmax]) / c[rmax], 6.0)
-    h[gmax] = (b[gmax] - r[gmax]) / c[gmax] + 2.0
-    h[bmax] = (r[bmax] - g[bmax]) / c[bmax] + 4.0
-    h *= 60.0
+    # every branch over every pixel, then select: the chroma is 0 where all
+    # channels are equal, and those pixels' hue is set to 0 afterwards. Where
+    # red is the maximum, |g - b| <= c, so x = (g - b) / c lies in [-1, 1] and
+    # np.mod(x, 6.0) is x + 6.0 for x < 0 and x + 0.0 (turning -0.0 into
+    # +0.0) otherwise: the same bits, without the slow float remainder.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(v == g, (b - r) / c + 2.0, (r - g) / c + 4.0)
+        x = (g - b) / c
+        x += np.where(x < 0.0, 6.0, 0.0)
+        h = np.where(v == r, x, h)
+        h *= 60.0
+    h[c == 0] = 0.0
     s = np.where(v > 0, c / np.where(v > 0, v, 1.0), 0.0)
     return h, s, v
 

@@ -1,6 +1,7 @@
 """Benchmark harness: trial drawing, the end-to-end pipeline, and the CSV
 report writer."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -314,6 +315,39 @@ def test_pipeline_sizes_the_face_before_voxelling(tmp_path):
     # criterion 06's envelope
     assert symmetric_rot_err_deg(result.pose.r, gt.r) <= 3.3
     assert np.linalg.norm(result.pose.t - gt.t) * 1000.0 <= 5.3
+
+
+def _traced_peak(fn, *args):
+    """fn's result and the peak bytes it held beyond what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_pipeline_allocates_little_beyond_its_files(tmp_path):
+    """A 1280x720 bench scene: `run_pipeline` may hold at most 10 MB beyond
+    the bytes of its RGB and depth files, which the loaders keep (7.1 MB was
+    measured; 12.8 MB when the depth was converted to a frame of float64 at
+    load, which alone is 7.4 MB). `load_ppm` holds only the file it read: a
+    copy of the 2.7 MB image would double its peak."""
+    config = BenchConfig(dropout_frac=0.0)
+    scene_seed, gt, corner, _, _ = draw_trial(config, 0)
+    _write_scene(tmp_path, scene_spec_for(config, scene_seed, gt, corner))
+    files = [tmp_path / "rgb.ppm", tmp_path / "depth.pgm"]
+    pipeline = PipelineConfig(cuboid=config.cuboid)
+    run_pipeline(str(tmp_path), pipeline)  # warm-up
+    result, peak = _traced_peak(run_pipeline, str(tmp_path), pipeline)
+    assert not result.searched  # the search's pair table would set the peak
+    beyond = peak - sum(f.stat().st_size for f in files)
+    assert beyond <= 10e6, f"{beyond / 1e6:.1f} MB beyond the files"
+    _, peak = _traced_peak(load_ppm, files[0])
+    held = peak - files[0].stat().st_size
+    assert held <= 64e3, f"load_ppm held {held / 1e6:.2f} MB beyond its file"
 
 
 @pytest.mark.parametrize("size", [2, 5, 20])

@@ -91,12 +91,25 @@ def test_project_behind_camera():
         project(WIDE, [0.1, 0.1, 0.0])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.001])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.001, -5e-324])
 def test_depth_image_rejects_nonfinite_and_negative(bad):
-    data = np.ones((4, 5))
-    data[2, 3] = bad
-    with pytest.raises(ValueError):
-        DepthImage(data)
+    """One bad pixel, first, inside or last, among valid and zero depths."""
+    for at in [(0, 0), (2, 3), (3, 4)]:
+        data = np.ones((4, 5))
+        data[1] = 0.0
+        data[at] = bad
+        with pytest.raises(ValueError):
+            DepthImage(data)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0)])
+def test_depth_image_accepts_empty(shape):
+    assert DepthImage(np.zeros(shape)).data.shape == shape
+
+
+def test_depth_image_accepts_negative_zero():
+    depth = DepthImage(np.full((4, 5), -0.0))
+    assert np.signbit(depth.data).all()
 
 
 def test_depth_image_accepts_all_zero():

@@ -111,6 +111,7 @@ def test_obb_bitwise_equal_to_column_formula(n):
         assert np.array_equal(obb.center, center)
         assert np.array_equal(obb.axes, axes)
         assert np.array_equal(obb.half_extents, half)
+        assert obb.mean.tobytes() == pts.mean(axis=0).tobytes()
 
 
 def test_obb_collinear_raises():
