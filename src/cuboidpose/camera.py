@@ -1,15 +1,18 @@
 """Pinhole camera model: projection, inverse projection, depth image handling.
 
 Depth images give meters as float64 with 0 marking invalid pixels; they are
-quantized to whole millimeters when written to disk. An image loaded from disk
-(`io.load_pgm16`) holds those millimeters and converts to meters only what is
-read: the box `deproject_mask` reads through `DepthImage.block`, or the full
-frame on the first read of `data`.
+quantized to whole millimeters when written to disk. Two depth images defer
+their meters (`_DeferredDepth`) and build only what is read: the box
+`deproject_mask` reads through `DepthImage.block`, or the full frame on the
+first read of `data`. An image loaded from disk (`io.load_pgm16`) holds the
+file's millimeters and converts them; a rendered one (`synth.render_scene`)
+holds the face's box of noiseless depth and draws the noise and quantizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,8 +46,8 @@ class DepthImage:
 
     Values must be finite and non-negative, checked with one min and one max
     reduction: NaN propagates through the min, and an infinite value makes
-    the max infinite. `io.load_pgm16` returns a subclass that holds the file's
-    millimeters and converts `data` on its first read.
+    the max infinite. `io.load_pgm16` and `synth.render_scene` return
+    subclasses (`_DeferredDepth`) that build `data` on its first read.
     """
 
     data: np.ndarray
@@ -69,6 +72,37 @@ class DepthImage:
         """Depth in meters over a (rows, cols) slice pair, such as `pixel_box`
         gives."""
         return self.data[box]
+
+
+class _DeferredDepth(DepthImage):
+    """A depth image that builds float64 meters only where they are read:
+    `block` builds its box, and the first read of `data` builds the full frame
+    and keeps it. After that `block` slices `data`, so writes to it reach
+    later reads. A subclass supplies `_block(box)` and `_frame()`, whose
+    values must be the same bits; `_frame` drops what `_block` reads. Width
+    and height come from the stored shape, so reading them builds nothing,
+    and no `DepthImage` check runs: the subclass's conversion must give
+    finite, non-negative meters."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self._shape = shape
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        return self._frame()
+
+    @property
+    def width(self) -> int:
+        return self._shape[1]
+
+    @property
+    def height(self) -> int:
+        return self._shape[0]
+
+    def block(self, box: tuple[slice, slice]) -> np.ndarray:
+        if "data" in self.__dict__:  # built already, and perhaps written to
+            return self.data[box]
+        return self._block(box)
 
 
 @dataclass

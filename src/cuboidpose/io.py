@@ -4,11 +4,10 @@ sidecar."""
 from __future__ import annotations
 
 import os
-from functools import cached_property
 
 import numpy as np
 
-from .camera import CameraIntrinsics, DepthImage, MaskImage
+from .camera import CameraIntrinsics, DepthImage, MaskImage, _DeferredDepth
 from .correction import CuboidSpec
 from .errors import ParseError
 from .geometry import Pose
@@ -60,37 +59,25 @@ def save_pgm16(path, depth: DepthImage) -> None:
         f.write(mm.astype(">u2").tobytes())
 
 
-class _MillimeterDepth(DepthImage):
+class _MillimeterDepth(_DeferredDepth):
     """A depth image that holds a file's big-endian uint16 millimeters and
-    converts to float64 meters only what is read: `block` converts its box,
-    and the first read of `data` converts the full frame and keeps it. Both
-    divide the float64 millimeters by 1000, so every value is bit-identical
-    to converting the whole frame at load. A uint16 divided by 1000 is always
-    finite and non-negative, so the image cannot fail `DepthImage`'s check,
-    and none is run. Width and height come from the millimeter array, so
-    reading them converts nothing."""
+    converts to float64 meters only what is read. The box and the full frame
+    both divide the float64 millimeters by 1000, so every value is
+    bit-identical to converting the whole frame at load; a uint16 divided by
+    1000 is always finite and non-negative."""
 
     def __init__(self, mm: np.ndarray):
+        super().__init__(mm.shape)
         self._mm = mm
 
-    @cached_property
-    def data(self) -> np.ndarray:
+    def _block(self, box: tuple[slice, slice]) -> np.ndarray:
+        return self._mm[box].astype(np.float64) / 1000.0
+
+    def _frame(self) -> np.ndarray:
         meters = self._mm.astype(np.float64)
         meters /= 1000.0
+        self._mm = None
         return meters
-
-    @property
-    def width(self) -> int:
-        return self._mm.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self._mm.shape[0]
-
-    def block(self, box: tuple[slice, slice]) -> np.ndarray:
-        if "data" in self.__dict__:  # converted already, and perhaps written to
-            return self.data[box]
-        return self._mm[box].astype(np.float64) / 1000.0
 
 
 def _read_writable(path) -> bytearray:

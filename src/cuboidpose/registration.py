@@ -114,12 +114,17 @@ def pairs_in_range(cloud: PointCloud, r: float, eps: float) -> list[tuple[int, i
     return [tuple(p) for p in _annulus(_pair_table(cloud.points), r, eps).tolist()]
 
 
-def kabsch(src: np.ndarray, dst: np.ndarray) -> Pose:
+def kabsch(src: np.ndarray, dst: np.ndarray, centred=None) -> Pose:
     """Least-squares rigid transform mapping `src` onto `dst` (SVD closed form,
-    reflection guarded)."""
-    cs = src.mean(axis=0)
+    reflection guarded). A caller that fits the same `src` again passes
+    `centred`, the pair `(cs, src - cs)` for `cs = src.mean(axis=0)`, which
+    is otherwise computed here; the result is the same bits."""
+    if centred is None:
+        cs = src.mean(axis=0)
+        centred = cs, src - cs
+    cs, src_centred = centred
     cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
+    h = src_centred.T @ (dst - cd)
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     fix = np.diag([1.0, 1.0, d])
@@ -535,6 +540,9 @@ def icp_refine(
     t0 = time.perf_counter()
     src = source.points
     tgt = target.points
+    # the source never moves, so it is centred once for every fit
+    cs = src.mean(axis=0)
+    centred = cs, src - cs
     nearest = _TrackedNearest(tgt)
     pose = Pose(np.array(initial.r), np.array(initial.t))
     prev_mean = np.inf
@@ -545,7 +553,7 @@ def icp_refine(
         if mean_d < converge_eps or abs(prev_mean - mean_d) < converge_eps:
             break
         prev_mean = mean_d
-        fit = kabsch(src, np.take(tgt, idx, axis=0))
+        fit = kabsch(src, np.take(tgt, idx, axis=0), centred)
         pose = Pose(orthonormalize(fit.r), fit.t)
     if d is None:
         d, _ = nearest.query(pose.transform(src))

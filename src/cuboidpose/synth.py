@@ -5,14 +5,18 @@ face plane and with any constant-depth background planes, with a z-buffer
 deciding visibility. Depth noise is applied along the viewing ray, then
 quantized to whole millimeters exactly as a 16-bit sensor would report it.
 
-Full-frame work runs on the pixel axis: colours are painted one channel at a
-time, so no step broadcasts, masks or gathers over the 3-wide colour axis.
-The noise and the quantization go one block of rows at a time, in place, and
-the face's ray casting keeps four float arrays the size of the face's pixel
-box; so a 1280x720 bench render peaks about 3 MB above the 11 MB it returns.
-Its full-frame cloud is back-projected only when its points are first read,
-which only the tests do; the pipeline reads the images, and the benchmark
-tracer the cloud's length.
+Only the face is ray cast, over its pixel box; the nearest background plane
+is one depth and one colour for the whole frame. The RGB image is painted one
+channel at a time, so no step broadcasts, masks or gathers over the 3-wide
+colour axis. The depth image holds the face's box of noiseless depth and
+builds meters only where read (`_RenderedDepth`): `deproject_mask` reads the
+mask's box, and the frame is built only when `data` is first read. The
+seeded noise stream is still drawn row-major through the last row read, since
+its normals take a varying number of raw draws. So a 1280x720 bench render
+peaks about 4 MB above the 3.7 MB of RGB and mask it returns. Its
+full-frame cloud is back-projected only when its points are first read, which
+only the tests do; the pipeline reads the images, and the benchmark tracer
+the cloud's length, which builds the depth's frame.
 """
 
 from __future__ import annotations
@@ -22,13 +26,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .camera import CameraIntrinsics, DepthImage, MaskImage, deproject_mask
+from .camera import (
+    CameraIntrinsics,
+    DepthImage,
+    MaskImage,
+    _DeferredDepth,
+    deproject_mask,
+)
 from .correction import CuboidSpec
 from .errors import FaceOutOfView, InvalidSpec
 from .geometry import PointCloud, Pose, rotation_z
 
 # Rows per block of the noise and quantization passes: a 1280-wide block of
-# noise is 0.6 MB, small next to the 11 MB a scene returns.
+# noise is 0.6 MB, about the size of a bench face's box of depth.
 _BLOCK_ROWS = 64
 
 
@@ -64,7 +74,7 @@ class GroundTruth:
 
 
 def _validate(spec: SceneSpec) -> None:
-    if spec.noise_sigma < 0:
+    if not spec.noise_sigma >= 0:
         raise InvalidSpec("noise sigma must be non-negative")
     for corner, frac in spec.dropout:
         if corner not in (0, 1, 2, 3):
@@ -72,7 +82,7 @@ def _validate(spec: SceneSpec) -> None:
         if not (0.0 <= frac < 0.3):
             raise InvalidSpec("dropout radius fraction must lie in [0, 0.3)")
     for bp in spec.background:
-        if bp.depth <= 0:
+        if not bp.depth > 0:
             raise InvalidSpec("background plane depth must be positive")
     if spec.gt_pose.t[2] <= 0.3:
         raise InvalidSpec("face must sit at Z > 0.3 m")
@@ -98,21 +108,12 @@ def _paint(rgb: np.ndarray, color, where: np.ndarray | None = None) -> None:
             np.copyto(rgb[..., c], color[c], where=where)
 
 
-def _draw_background(spec: SceneSpec, depth: np.ndarray, rgb: np.ndarray) -> None:
-    """Z-buffer every background plane into the frame; the nearest one wins
-    whatever the drawing order."""
-    for bp in spec.background:
-        closer = (depth == 0) | (bp.depth < depth)
-        np.copyto(depth, bp.depth, where=closer)
-        _paint(rgb, bp.color, closer)
-
-
 def _draw_face(
     spec: SceneSpec, depth: np.ndarray, mask: np.ndarray, rgb: np.ndarray, box
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ray-cast the face over its pixel `box` (a pair of row and column
-    slices) and z-buffer it into `depth` and `rgb`, marking the pixels it
-    wins with 255 in `mask`. It is drawn after every background plane.
+    slices) and z-buffer it into `depth`, the box's background depth, marking
+    the pixels it wins with 255 in `mask` and painting them in `rgb`.
 
     Returns the face-frame coordinates `lx`, `ly` of every box pixel's ray hit
     and the pixels the face won; the other box-sized intermediates die here.
@@ -153,9 +154,8 @@ def _draw_face(
     inside = safe & (z > 1e-6)
     inside &= np.abs(lx, out=term) <= spec.cuboid.width / 2.0
     inside &= np.abs(ly, out=term) <= spec.cuboid.height / 2.0
-    block = depth[box]
-    wins = inside & ((block == 0) | (z < block))
-    np.copyto(block, z, where=wins)
+    wins = inside & ((depth == 0) | (z < depth))
+    np.copyto(depth, z, where=wins)
     np.copyto(mask[box], 255, where=wins)
     _paint(rgb[box], spec.face_color, wins)
     return lx, ly, wins
@@ -173,30 +173,77 @@ def _cut_dropout(spec: SceneSpec, block: np.ndarray, lx, ly, wins) -> None:
         block[hole] = 0.0
 
 
-def _noise_and_quantize(spec: SceneSpec, depth: np.ndarray) -> None:
-    """Add the seeded depth noise and quantize to whole millimeters, in place,
-    one block of rows at a time.
+def _quantize(rows: np.ndarray) -> None:
+    """Whole millimeters, then meters again, in place; a value that rounds
+    below 1 mm (a negative sum of depth and noise included) or above the
+    16-bit range reads 0."""
+    rows *= 1000.0
+    np.rint(rows, out=rows)
+    rows[(rows < 1) | (rows > 65535)] = 0
+    rows /= 1000.0
 
-    The generator fills row-major, so the blocks hold exactly the values of
-    one (h, w) draw. Depth is never negative before the noise, so adding only
-    where it is positive matches np.where(depth > 0, depth + noise, 0.0) bit
-    for bit. A sum below zero rounds to at most -0.0 millimeters and is zeroed
-    with the other out-of-range values.
+
+class _RenderedDepth(_DeferredDepth):
+    """The rendered depth image. It holds the nearest background plane's
+    depth `far` (0.0 without a plane), the face's `box` of noiseless depth
+    (`face`: the face z-buffered against `far`, dropout holes cut) and the
+    spec's noise seed and sigma.
+
+    A box is built from `far` with the face box pasted where they overlap.
+    The noise generator fills row-major, so the stream is drawn in blocks of
+    `_BLOCK_ROWS` rows from the frame's first row through the box's last, and
+    each block's values are those of one (h, w) draw. Only the box's part of
+    each block is scaled and added, where the depth is positive (depth is
+    never negative before the noise, so this matches np.where(depth > 0,
+    depth + noise, 0.0) bit for bit), and only the box is quantized. Each
+    element gets the arithmetic a full-frame pass gives it, so every box is
+    bit-identical to that frame's. The full frame is the box over the whole
+    image, after which the face box is dropped. `_validate` rejects a NaN
+    plane depth or noise sigma, so the values are finite and non-negative.
     """
-    rng = np.random.default_rng(spec.seed)
-    noise = np.empty((min(_BLOCK_ROWS, len(depth)), depth.shape[1]))
-    for r0 in range(0, len(depth), _BLOCK_ROWS):
-        rows = depth[r0 : r0 + _BLOCK_ROWS]
-        if spec.noise_sigma > 0:
-            block_noise = noise[: len(rows)]
-            rng.standard_normal(out=block_noise)
-            block_noise *= spec.noise_sigma
-            np.add(rows, block_noise, out=rows, where=rows > 0)
-        # whole millimeters, then meters again
-        rows *= 1000.0
-        np.rint(rows, out=rows)
-        rows[(rows < 1) | (rows > 65535)] = 0
-        rows /= 1000.0
+
+    def __init__(self, shape, far: float, box, face: np.ndarray, seed, sigma: float):
+        super().__init__(shape)
+        self._far, self._box, self._face = far, box, face
+        self._seed, self._sigma = seed, sigma
+
+    def _block(self, box: tuple[slice, slice]) -> np.ndarray:
+        (r0, r1, r_step), (c0, c1, c_step) = (
+            s.indices(n) for s, n in zip(box, self._shape)
+        )
+        if r_step != 1 or c_step != 1:
+            return self.data[box]
+        r1, c1 = max(r0, r1), max(c0, c1)
+        out = np.full((r1 - r0, c1 - c0), self._far)
+        face_rows, face_cols = self._box
+        lo_r, hi_r = max(r0, face_rows.start), min(r1, face_rows.stop)
+        lo_c, hi_c = max(c0, face_cols.start), min(c1, face_cols.stop)
+        if lo_r < hi_r and lo_c < hi_c:
+            out[lo_r - r0 : hi_r - r0, lo_c - c0 : hi_c - c0] = self._face[
+                lo_r - face_rows.start : hi_r - face_rows.start,
+                lo_c - face_cols.start : hi_c - face_cols.start,
+            ]
+        if self._sigma > 0:
+            rng = np.random.default_rng(self._seed)
+            noise = np.empty((min(_BLOCK_ROWS, r1), self._shape[1]))
+            for b0 in range(0, r1, _BLOCK_ROWS):
+                b1 = min(b0 + _BLOCK_ROWS, r1)
+                drawn = noise[: b1 - b0]
+                rng.standard_normal(out=drawn)
+                lo = max(b0, r0)
+                if lo < b1:
+                    part = drawn[lo - b0 :, c0:c1]
+                    part *= self._sigma
+                    rows = out[lo - r0 : b1 - r0]
+                    np.add(rows, part, out=rows, where=rows > 0)
+        for b0 in range(0, len(out), _BLOCK_ROWS):
+            _quantize(out[b0 : b0 + _BLOCK_ROWS])
+        return out
+
+    def _frame(self) -> np.ndarray:
+        frame = self._block((slice(None), slice(None)))
+        self._face = None
+        return frame
 
 
 class _DeferredCloud(PointCloud):
@@ -223,21 +270,28 @@ def render_scene(
     whose points are back-projected from the returned depth image, as it then
     stands, when they are first read.
 
-    Colours are painted per channel, and the noise and the quantization run
-    in place over blocks of `_BLOCK_ROWS` rows, so no frame-sized float
-    temporary is held. Only the benchmark tracer (the cloud's length) and the
-    tests read the cloud; no pipeline stage does.
+    The nearest background plane (the first of the nearest, when several lie
+    at one depth) fills the frame with one depth and colour, or the void
+    colour shows when there is none; the face is z-buffered over it in its
+    pixel box. The depth image keeps no full frame: it adds the noise and
+    quantizes only the box that is read (`_RenderedDepth`), and builds the
+    frame when `data` is first read. Only the benchmark tracer (the cloud's
+    length) and the tests read the cloud or `data`; no pipeline stage does.
 
     Raises FaceOutOfView when less than half of the face projects into frame.
     """
     _validate(spec)
     intr = spec.intrinsics
     h, w = intr.height, intr.width
-    depth = np.zeros((h, w))
     mask = np.zeros((h, w), dtype=np.uint8)
     rgb = np.empty((h, w, 3), dtype=np.uint8)
-    _paint(rgb, spec.void_color)
-    _draw_background(spec, depth, rgb)
+    nearest = min(spec.background, key=lambda bp: bp.depth, default=None)
+    if nearest is None:
+        far = 0.0
+        _paint(rgb, spec.void_color)
+    else:
+        far = float(nearest.depth)
+        _paint(rgb, nearest.color)
 
     pose = spec.gt_pose
     corners_cam = pose.transform(_local_corners(spec.cuboid))
@@ -259,12 +313,13 @@ def render_scene(
     x1 = min(w - 1, int(np.ceil(px[:, 0].max())))
     y0 = max(0, int(np.floor(px[:, 1].min())))
     y1 = min(h - 1, int(np.ceil(px[:, 1].max())))
-    if x0 <= x1 and y0 <= y1:
-        box = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+    box = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+    face = np.full((max(y1 + 1 - y0, 0), max(x1 + 1 - x0, 0)), far)
+    if face.size:
         # Holes are cut before the noise: the noise skips zero depth and its
         # draw still covers every pixel, so this matches cutting them after.
         # The box-sized hits die with this statement.
-        _cut_dropout(spec, depth[box], *_draw_face(spec, depth, mask, rgb, box))
+        _cut_dropout(spec, face, *_draw_face(spec, face, mask, rgb, box))
 
     mask_img = MaskImage(mask)
     face_px = mask_img.count()
@@ -273,8 +328,7 @@ def render_scene(
             f"only {face_px} of ~{analytic_area:.0f} face pixels in frame"
         )
 
-    _noise_and_quantize(spec, depth)
-    depth_img = DepthImage(depth)
+    depth_img = _RenderedDepth((h, w), far, box, face, spec.seed, spec.noise_sigma)
     gt = GroundTruth(pose=pose, face_mask=mask_img)
     return rgb, depth_img, mask_img, _DeferredCloud(intr, depth_img), gt
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cuboidpose import bench
+from cuboidpose import bench, synth
 from cuboidpose.bench import (
     BenchConfig,
     PipelineConfig,
@@ -77,6 +77,42 @@ def test_run_trial_correction_beats_injection():
     assert abs(rec.inj_yaw_deg) <= config.inj_yaw_deg
     assert rec.corr_rot_err_deg < 0.5
     assert rec.corr_trans_err_mm < 1.0
+
+
+# criterion 01's trial config, and criteria 02/03's: 10 % dropout, denser clouds
+PLAIN_TRIALS = dict(
+    inj_yaw_deg=5.0,
+    inj_dt_mm=10.0,
+    noise_sigma_mm=1.0,
+    dropout_frac=0.0,
+    voxel_leaf_m=0.006,
+    pitch_m=0.006,
+)
+DENSE_DROPOUT_TRIALS = dict(PLAIN_TRIALS, dropout_frac=0.1, voxel_leaf_m=0.003, pitch_m=0.0028)
+
+
+def test_run_trial_never_builds_the_rendered_frame(monkeypatch):
+    """A trial reads the rendered depth only through the face's box, so it
+    never builds the depth's full frame of float64 meters."""
+    built = []
+    real_frame = synth._RenderedDepth._frame
+
+    def counted_frame(self):
+        built.append(self)
+        return real_frame(self)
+
+    monkeypatch.setattr(synth._RenderedDepth, "_frame", counted_frame)
+    for trials in (PLAIN_TRIALS, DENSE_DROPOUT_TRIALS):
+        config = BenchConfig(**trials)
+        ref = make_reference_face(config.cuboid, config.pitch_m)
+        for trial in range(2):
+            run_trial(config, ref, trial)
+    assert built == []
+    # the count does see a read of the frame
+    scene_seed, gt, corner, _, _ = draw_trial(config, 0)
+    _, depth, _, _, _ = render_scene(scene_spec_for(config, scene_seed, gt, corner))
+    assert depth.data.shape == (config.intrinsics.height, config.intrinsics.width)
+    assert built == [depth]
 
 
 def test_run_trial_from_coarse_pose():

@@ -236,6 +236,21 @@ def test_kabsch_proper_rotation_under_noise():
     assert_allclose(fit.r.T @ fit.r, np.eye(3), atol=1e-9)
 
 
+def test_kabsch_with_centred_source_is_bitwise_equal():
+    """A source centred by the caller gives the fit `kabsch` computes
+    itself, bit for bit; ICP centres its source once and passes it."""
+    rng = np.random.default_rng(5)
+    src = rng.normal(loc=[0.1, -0.2, 1.0], scale=0.1, size=(7776, 3))
+    dst = src @ rotation_about([0.2, 0.1, 1.0], 0.05).T + rng.normal(
+        scale=0.001, size=src.shape
+    )
+    cs = src.mean(axis=0)
+    want = kabsch(src, dst)
+    got = kabsch(src, dst, (cs, src - cs))
+    assert got.r.tobytes() == want.r.tobytes()
+    assert got.t.tobytes() == want.t.tobytes()
+
+
 # ---------------------------------------------------------------- ICP
 
 def test_icp_stays_put_at_ground_truth():

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cuboidpose import (
@@ -168,6 +170,11 @@ def test_scene_validation():
         render_scene(SceneSpec(FACE, pose, intr, dropout=[(4, 0.1)]))
     with pytest.raises(InvalidSpec):
         render_scene(SceneSpec(FACE, pose, intr, noise_sigma=-0.001))
+    # the rendered depth runs no finite check, so NaN is refused up front
+    with pytest.raises(InvalidSpec):
+        render_scene(SceneSpec(FACE, pose, intr, noise_sigma=float("nan")))
+    with pytest.raises(InvalidSpec):
+        render_scene(SceneSpec(FACE, pose, intr, background=[BackgroundPlane(float("nan"))]))
 
 
 # ---------------------------------------------------------------- render oracle
@@ -433,9 +440,10 @@ def test_render_face_out_of_the_bottom(intr640):
 
 def test_render_allocates_little_beyond_its_outputs():
     """One 1280x720 bench scene (noise, corner dropout, a background plane)
-    may allocate at most 12 MB beyond its rgb, depth and mask images; a
-    frame-sized float64 temporary alone is 7.4 MB, and the cloud's points,
-    built only when read, would be 22 MB."""
+    may allocate at most 6 MB beyond its rgb and mask images: the depth keeps
+    only the face's box and builds its frame when read, so a frame-sized
+    float64 (7.4 MB) alone breaks the bound, and the cloud's points, built
+    only when read, would be 22 MB."""
     config = BenchConfig(dropout_frac=0.1)
     scene_seed, gt_pose, corner, _, _ = draw_trial(config, 0)
     spec = scene_spec_for(config, scene_seed, gt_pose, corner)
@@ -447,6 +455,101 @@ def test_render_allocates_little_beyond_its_outputs():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (rgb, depth.data, mask.data))
+    returned = rgb.nbytes + mask.data.nbytes
     assert len(cloud) > 0.9 * 1280 * 720
-    assert peak - returned <= 12e6, f"{(peak - returned) / 1e6:.1f} MB transient"
+    assert peak - returned <= 6e6, f"{(peak - returned) / 1e6:.1f} MB transient"
+
+
+# ------------------------------------------------------- depth read by the box
+
+_SIGMAS = st.sampled_from([0.0, 0.0005, 0.002, 0.6])
+# few distinct depths, so two planes often lie at one depth
+_PLANE = st.builds(
+    BackgroundPlane,
+    st.sampled_from([0.9, 1.05, 1.5, 2.0]),
+    st.tuples(*[st.integers(0, 255)] * 3),
+)
+_DROPOUT = st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.1, 0.29])), max_size=2)
+
+
+@st.composite
+def small_scenes(draw):
+    """A small frame (up to three row blocks tall) with 0-2 background
+    planes, noise, dropout and a tilted face that the border often cuts."""
+    h = draw(st.integers(1, 3 * _BLOCK_ROWS + 5))
+    w = draw(st.integers(2, 90))
+    f = draw(st.floats(0.5, 3.0)) * max(h, w)
+    intr = CameraIntrinsics(fx=f, fy=f, cx=w / 2.0, cy=h / 2.0, width=w, height=h)
+    axis = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 2))
+    pose = Pose(
+        rotation_about([axis[0], axis[1], 1.0], draw(st.floats(-0.6, 0.6))),
+        np.array([draw(st.floats(-0.25, 0.25)), draw(st.floats(-0.2, 0.2)), 1.0]),
+    )
+    return SceneSpec(
+        FACE,
+        pose,
+        intr,
+        noise_sigma=draw(_SIGMAS),
+        dropout=draw(_DROPOUT),
+        background=draw(st.lists(_PLANE, max_size=2)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _boxes(draw, h, w, face_box):
+    """Boxes inside, across and outside the face box, a single pixel, an
+    empty box, the full frame and a few drawn at random."""
+    fr, fc = face_box
+    g = draw(st.integers(1, 20))
+    boxes = [
+        face_box,
+        (slice(fr.start + 1, fr.stop - 1), slice(fc.start + 1, fc.stop - 1)),
+        (slice(max(fr.start - g, 0), fr.stop + g), slice(max(fc.start - g, 0), fc.stop + g)),
+        (slice(0, fr.start), slice(0, w)),
+        (slice(fr.stop, h), slice(0, w)),
+        (slice(0, h), slice(0, fc.start)),
+        (slice(fr.start, fr.stop), slice(fc.stop, w)),
+        (slice(0, h), slice(0, w)),
+        (slice(None), slice(None)),
+        (slice(h // 2, h // 2), slice(0, w)),
+    ]
+    r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    boxes.append((slice(r, r + 1), slice(c, c + 1)))
+    for _ in range(3):
+        r0, r1 = sorted(draw(st.tuples(st.integers(0, h), st.integers(0, h))))
+        c0, c1 = sorted(draw(st.tuples(st.integers(0, w), st.integers(0, w))))
+        boxes.append((slice(r0, r1), slice(c0, c1)))
+    return boxes
+
+
+def _assert_blocks(depth, want, boxes):
+    for box in boxes:
+        got = depth.block(box)
+        assert got.shape == want[box].shape, box
+        assert got.tobytes() == want[box].tobytes(), box
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_rendered_depth_blocks_match_oracle(data):
+    """Every box of the rendered depth equals the oracle's frame at that box
+    bit for bit, before and after the full frame is built; so do the frame
+    itself, the RGB image and the mask."""
+    spec = data.draw(small_scenes())
+    try:
+        o_rgb, o_depth, o_mask, _, _ = render_scene_oracle(spec)
+    except FaceOutOfView:
+        with pytest.raises(FaceOutOfView):
+            render_scene(spec)
+        return
+    rgb, depth, mask, _, _ = render_scene(spec)
+    assert rgb.tobytes() == o_rgb.tobytes()
+    assert mask.data.tobytes() == o_mask.data.tobytes()
+    h, w = o_depth.data.shape
+    boxes = _boxes(data.draw, h, w, depth._box)
+    _assert_blocks(depth, o_depth.data, boxes)
+    assert "data" not in depth.__dict__
+    # a strided box reads the full frame
+    _assert_blocks(depth, o_depth.data, [(slice(None, None, 2), slice(1, None, 3))])
+    assert depth.data.tobytes() == o_depth.data.tobytes()
+    _assert_blocks(depth, o_depth.data, boxes)
