@@ -10,26 +10,59 @@ from .errors import InsufficientNeighbors, TooFewPoints
 from .geometry import PointCloud
 
 
+# The dense grouping sizes its counts and sums by the cloud's cell box, so it
+# runs only while that box holds at most this many cells per point.
+_DENSE_CELLS_PER_POINT = 2
+
+
 def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     """One point per occupied voxel: the centroid of that voxel's members.
 
     The grid is anchored at the coordinate origin (cell index floor(p / leaf)).
     Output order is lexicographic by voxel index.
 
-    Voxels are grouped by a lexsort of the integer cell indices, so the cells
-    come out in that order without a combined linear key (which would overflow
-    int64 for wide clouds at fine leaves). The indices are built one axis at a
-    time, each in its own contiguous array, and a voxel starts wherever any
-    axis's sorted index differs from the one before it. `np.bincount` with
-    weights adds each voxel's members in input order, the same additions a
-    per-point accumulation makes, so the centroids are exact.
+    The indices are built one axis at a time, each in its own contiguous
+    array, and grouped in one of two ways, chosen by the cloud's cell box (the
+    product of the three index ranges, taken in Python ints so that it cannot
+    overflow):
+
+    - Dense: when the box holds at most `_DENSE_CELLS_PER_POINT` cells per
+      point, as a face's box does, each point gets one linear key, its cell's
+      row-major place in the box, and `np.bincount` over the box gives every
+      cell's count and coordinate sums with no sort. The occupied cells, in
+      ascending key order, are the voxels in lexicographic order. The cap
+      keeps the box's arrays within a small multiple of the cloud's size.
+    - Sorted: otherwise, as for wide, sparse clouds whose box would be far
+      larger than the cloud (or overflow int64 at fine leaves), a lexsort of
+      the indices brings the cells into lexicographic order, and a voxel
+      starts wherever any axis's sorted index differs from the one before it.
+
+    Either way `np.bincount` with weights adds each voxel's members in input
+    order, the same additions a per-point accumulation makes, so the
+    centroids are exact and both paths give the same bits.
     """
     if leaf <= 0:
         raise ValueError("leaf size must be positive")
     n = len(cloud)
     if n == 0:
         return PointCloud(np.empty((0, 3)))
-    keys = [np.floor(cloud.points[:, j] / leaf).astype(np.int64) for j in range(3)]
+    pts = cloud.points
+    keys = [np.floor(pts[:, j] / leaf).astype(np.int64) for j in range(3)]
+    lo = [int(key.min()) for key in keys]
+    span = [int(key.max()) - low + 1 for key, low in zip(keys, lo)]
+    box = span[0] * span[1] * span[2]
+    if box <= _DENSE_CELLS_PER_POINT * n:
+        inv = keys[0] - lo[0]
+        for key, low, size in zip(keys[1:], lo[1:], span[1:]):
+            inv *= size
+            inv += key
+            inv -= low
+        counts = np.bincount(inv, minlength=box)
+        occupied = np.flatnonzero(counts)
+        sums = [
+            np.bincount(inv, weights=pts[:, j], minlength=box)[occupied] for j in range(3)
+        ]
+        return PointCloud(np.column_stack(sums) / counts[occupied, None])
     order = np.lexsort(keys[::-1])
     starts = np.zeros(n, dtype=bool)
     starts[0] = True
@@ -39,7 +72,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     inv = np.empty(n, dtype=np.int64)
     inv[order] = np.cumsum(starts) - 1
     counts = np.bincount(inv).astype(np.float64)
-    sums = [np.bincount(inv, weights=cloud.points[:, j]) for j in range(3)]
+    sums = [np.bincount(inv, weights=pts[:, j]) for j in range(3)]
     return PointCloud(np.column_stack(sums) / counts[:, None])
 
 

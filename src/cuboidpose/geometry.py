@@ -145,7 +145,7 @@ def fit_obb(cloud: PointCloud) -> Obb:
             axes[i] = -axes[i]
     # one contiguous row per axis: reducing rows is several times faster than
     # reducing the columns of the (n, 3) product, and min/max are exact
-    proj = (centered @ axes.T).T.copy()
+    proj = axes @ centered.T
     lo = proj.min(axis=1)
     hi = proj.max(axis=1)
     center = mean + axes.T @ ((lo + hi) / 2.0)

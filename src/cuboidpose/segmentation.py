@@ -115,15 +115,21 @@ def hsv_threshold(rgb: np.ndarray, rng: HsvRange) -> MaskImage:
     all equal has s = 0. Those candidates are found with two integer
     comparisons, `(r != g) | (g != b)`, and `rgb_to_hsv` runs on them alone.
     In the interleaved bytes each pixel's r, g and b are neighbours, so one
-    contiguous comparison of every byte with the next gives both tests. Each
-    pixel still goes through the same float64 formula, so the mask is exactly
-    that of converting the whole frame; only gray pixels skip it. The
-    candidates are cut from the flattened pixel axis with `np.compress`.
+    contiguous comparison of every byte with the next gives both tests: bytes
+    3i and 3i + 1 of that bool array. They are read together as one unaligned
+    uint16 per pixel, through a stride-3 view of the same buffer, which is
+    nonzero when either is set; the last pixel's pair ends at the array's last
+    byte. Each pixel still goes through the same float64 formula, so the mask
+    is exactly that of converting the whole frame; only gray pixels skip it.
+    The candidates are cut from the flattened pixel axis with `np.compress`.
     """
     if rng.s_lo > 0:
         flat = rgb.reshape(-1)
         differs = flat[1:] != flat[:-1]  # byte 3i is r != g, byte 3i + 1 g != b
-        candidate = (differs[0::3] | differs[1::3]).reshape(rgb.shape[:2])
+        pairs = np.ndarray(
+            (flat.size // 3,), dtype=np.uint16, buffer=differs, strides=(3,)
+        )
+        candidate = (pairs != 0).reshape(rgb.shape[:2])
     else:
         candidate = np.ones(rgb.shape[:2], dtype=bool)
     h, s, v = rgb_to_hsv(np.compress(candidate.ravel(), rgb.reshape(-1, 3), axis=0))
@@ -291,12 +297,21 @@ def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
     return corners
 
 
-def _box(binary: np.ndarray) -> tuple[slice, slice]:
-    """Row and column slices of the set pixels' bounding box."""
-    box = pixel_box(binary)
-    if box is None:
-        raise NoComponent("mask is empty")
-    return box
+class _Component(MaskImage):
+    """A mask holding one 8-connected component, as `largest_component`
+    returns it, with that component's own bounding box (`box`, row and column
+    slices) and pixel count (returned by `count`), so `fit_quadrilateral`
+    needs neither a second labelling nor a full-frame scan. Its array is
+    read-only, so the carried box and count cannot go stale."""
+
+    def __init__(self, data: np.ndarray, box: tuple[slice, slice], count: int):
+        super().__init__(data)
+        self.data.flags.writeable = False
+        self.box = box
+        self._count = count
+
+    def count(self) -> int:
+        return self._count
 
 
 def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
@@ -306,9 +321,13 @@ def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
 
     Labelling runs on the mask's bounding box only. Raster order, and with it
     label numbering (the first of equal-sized components wins), is that of
-    the full frame.
+    the full frame. The returned mask is read-only and carries the
+    component's bounding box and pixel count, which `fit_quadrilateral` reads
+    in place of labelling it again.
     """
-    box = _box(mask.data != 0)
+    box = pixel_box(mask.data)
+    if box is None:
+        raise NoComponent("mask is empty")
     labeled, _ = ndimage.label(mask.data[box], structure=np.ones((3, 3), dtype=int))
     sizes = np.bincount(labeled.ravel())[1:]
     biggest = int(np.argmax(sizes)) + 1
@@ -316,28 +335,53 @@ def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
         raise NoComponent(
             f"largest component has {sizes[biggest - 1]} px, need {min_area}"
         )
+    component = labeled == biggest
     data = np.zeros_like(mask.data)
-    np.multiply(labeled == biggest, 255, out=data[box], dtype=np.uint8)
-    return MaskImage(data)
+    np.multiply(component, 255, out=data[box], dtype=np.uint8)
+    rows, cols = pixel_box(component)
+    own = (
+        slice(rows.start + box[0].start, rows.stop + box[0].start),
+        slice(cols.start + box[1].start, cols.stop + box[1].start),
+    )
+    return _Component(data, own, int(sizes[biggest - 1]))
+
+
+def _boundary(component: np.ndarray) -> np.ndarray:
+    """Set pixels of a 2D bool array with an unset 4-neighbour, where pixels
+    beyond the array count as unset: the array less its interior, found with
+    four shifted ANDs on a zero-padded copy."""
+    padded = np.zeros((component.shape[0] + 2, component.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = component
+    interior = padded[:-2, 1:-1] & padded[2:, 1:-1]
+    interior &= padded[1:-1, :-2]
+    interior &= padded[1:-1, 2:]
+    return component & ~interior
 
 
 def fit_quadrilateral(mask: MaskImage, min_area: int = 100) -> Quadrilateral2D:
     """Quadrilateral enclosing the largest connected mask component.
 
-    The convex hull of the component's boundary pixels is reduced to 4
-    vertices by repeatedly replacing the edge whose removal grows the area
-    least, then polished to subpixel edges over the same pixels. Fails when
-    no component reaches `min_area` pixels or when the reduction changes the
-    hull area by more than 15 percent.
+    The convex hull of the component's boundary pixels (set pixels with an
+    unset 4-neighbour) is reduced to 4 vertices by repeatedly replacing the
+    edge whose removal grows the area least, then polished to subpixel edges
+    over the same pixels. Fails when no component reaches `min_area` pixels
+    or when the reduction changes the hull area by more than 15 percent.
+
+    A mask that `largest_component` returned is already that component: its
+    carried pixel count is checked against `min_area` (the same NoComponent
+    message) and its carried box is read, with no second labelling. Any other
+    mask is labelled here first.
     """
+    if not isinstance(mask, _Component):
+        mask = largest_component(mask, min_area)
+    elif mask.count() < min_area:
+        raise NoComponent(f"largest component has {mask.count()} px, need {min_area}")
     # An interior pixel (all four neighbours set) is the midpoint of two set
     # pixels, so it is never a hull vertex: the boundary has the component's
-    # hull. Erosion runs on the component's box, whose zero border equals the
-    # empty pixels outside it, and the pixels come in full-frame raster order.
-    component = largest_component(mask, min_area).data != 0
-    rows, cols = _box(component)
-    component = component[rows, cols]
-    by, bx = np.nonzero(component & ~ndimage.binary_erosion(component))
+    # hull. The component's box is bordered by empty pixels, which the
+    # padding stands for, and the pixels come in full-frame raster order.
+    rows, cols = mask.box
+    by, bx = np.nonzero(_boundary(mask.data[rows, cols] != 0))
     pts = np.column_stack([bx + cols.start, by + rows.start]).astype(np.float64)
     try:
         hull = ConvexHull(pts)

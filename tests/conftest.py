@@ -1,13 +1,14 @@
 """Shared fixtures: one camera model and a couple of pre-rendered scenes that
 several test files reuse instead of rendering their own; the symmetric
-rotation error that the pose tests measure with; and the face plane that the
-axis-point tests intersect."""
+rotation error that the pose tests measure with; the face plane that the
+axis-point tests intersect; and a counter of `ndimage.label` calls."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cuboidpose import (
     CameraIntrinsics,
@@ -38,6 +39,20 @@ def symmetric_rot_err_deg(r_est, r_true):
     return min(
         math.degrees(rotation_angle(r_est @ s @ r_true.T)) for s in RECT_SYMMETRIES
     )
+
+
+def count_labels(monkeypatch):
+    """A list that gets one entry, the labelled array's shape, per
+    `scipy.ndimage.label` call made while the monkeypatch holds."""
+    calls = []
+    real = ndimage.label
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "label", counted)
+    return calls
 
 
 def face_plane(intr, depth, mask):

@@ -29,7 +29,7 @@ from cuboidpose.io import load_intrinsics, load_pgm16, load_ppm, save_scene, wri
 from cuboidpose.registration import RegistrationParams, coarse_register
 from cuboidpose.segmentation import HsvRange, target_axis_points
 from cuboidpose.synth import render_scene
-from conftest import face_plane, symmetric_rot_err_deg
+from conftest import count_labels, face_plane, symmetric_rot_err_deg
 
 
 def test_draw_trial_deterministic():
@@ -351,6 +351,23 @@ def test_pipeline_sizes_the_face_before_voxelling(tmp_path):
     # criterion 06's envelope
     assert symmetric_rot_err_deg(result.pose.r, gt.r) <= 3.3
     assert np.linalg.norm(result.pose.t - gt.t) * 1000.0 <= 5.3
+
+
+def test_one_labelling_per_frame(tmp_path, drawn, monkeypatch):
+    """The front end labels the mask once per frame: the outline is fitted
+    from the component `largest_component` returned, not labelled again."""
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    labels = count_labels(monkeypatch)
+    run_pipeline(str(tmp_path), PipelineConfig(cuboid=drawn.spec.cuboid))
+    assert len(labels) == 1
+    config = BenchConfig()
+    ref = make_reference_face(config.cuboid, config.pitch_m)
+    labels.clear()
+    run_trial(config, ref, 0)
+    assert len(labels) == 1
 
 
 def _traced_peak(fn, *args):

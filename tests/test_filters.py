@@ -11,6 +11,7 @@ from cuboidpose import (
     statistical_outlier_removal,
     voxel_downsample,
 )
+from cuboidpose import filters
 from cuboidpose.errors import InsufficientNeighbors, TooFewPoints
 
 
@@ -136,6 +137,74 @@ def voxel_clouds(draw):
 def test_voxel_matches_row_key_oracle(case):
     points, leaf = case
     got = voxel_downsample(PointCloud(points), leaf).points
+    assert got.tobytes() == voxel_downsample_oracle(points, leaf).tobytes()
+
+
+@st.composite
+def voxel_box_clouds(draw):
+    """Clouds whose cell box, spanned by two opposite corner points at
+    negative and positive indices, holds from well under to well over
+    `_DENSE_CELLS_PER_POINT` cells per point, so both groupings run."""
+    lo = draw(arrays(np.int64, 3, elements=st.integers(-6, 2), fill=st.nothing()))
+    span = draw(arrays(np.int64, 3, elements=st.integers(1, 6), fill=st.nothing()))
+    n = draw(st.integers(0, 60))
+    leaf = draw(st.sampled_from([1e-3, 0.003, 0.006, 0.25]))
+    cells = draw(
+        arrays(np.int64, (n, 3), elements=st.integers(0, 5), fill=st.nothing())
+    ) % span
+    frac = draw(
+        arrays(np.float64, (n + 2, 3), elements=st.floats(0.0, 0.999), fill=st.nothing())
+    )
+    keys = np.vstack([np.zeros(3, np.int64), span - 1, cells]) + lo
+    pts = (keys + frac) * leaf
+    return pts[draw(st.permutations(range(n + 2)))], leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(voxel_box_clouds())
+def test_voxel_dense_and_sorted_match_oracle(case):
+    points, leaf = case
+    got = voxel_downsample(PointCloud(points), leaf).points
+    assert got.tobytes() == voxel_downsample_oracle(points, leaf).tobytes()
+
+
+def _lexsort_calls(monkeypatch):
+    calls = []
+    real = np.lexsort
+
+    def counted(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return real(keys, *args, **kwargs)
+
+    monkeypatch.setattr(filters.np, "lexsort", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "span, n, sorted_path",
+    [
+        ((20, 1, 1), 10, False),  # 2 cells per point: dense
+        ((21, 1, 1), 10, True),  # just over the cap: sorted
+        ((4, 5, 1), 10, False),
+        ((3, 3, 3), 13, True),  # 27 cells for 13 points
+        ((3, 3, 3), 14, False),
+        ((1, 1, 1), 1, False),  # n = 1
+        ((1, 1, 1), 50, False),  # all points in one cell
+        ((10**6, 10**6, 10**6), 50, True),  # a wide, sparse cloud
+    ],
+)
+def test_voxel_grouping_at_the_cap(monkeypatch, span, n, sorted_path):
+    """The cell box decides the grouping, and both give the oracle's bits."""
+    rng = np.random.default_rng(n)
+    leaf = 0.006
+    keys = rng.integers(0, span, size=(n, 3))
+    keys[0] = 0
+    keys[-1] = np.array(span) - 1
+    # cell centres +-1/4, clear of the cell faces, so floor gives back the keys
+    points = (keys - np.array(span) // 2 + rng.uniform(0.25, 0.75, (n, 3))) * leaf
+    calls = _lexsort_calls(monkeypatch)
+    got = voxel_downsample(PointCloud(points), leaf).points
+    assert calls == ([3] if sorted_path else [])
     assert got.tobytes() == voxel_downsample_oracle(points, leaf).tobytes()
 
 

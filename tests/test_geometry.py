@@ -98,12 +98,12 @@ def _obb_by_columns(pts):
     return mean + axes.T @ ((lo + hi) / 2.0), axes, (hi - lo) / 2.0
 
 
-@pytest.mark.parametrize("n", [3, 17, 500, 52_000])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 64, 500, 4097, 52_000])
 def test_obb_bitwise_equal_to_column_formula(n):
     rng = np.random.default_rng(n)
-    for _ in range(5):
+    for scale in (1e-3, 1.0, 1e3) * 5:
         pose = random_pose(rng)
-        pts = pose.transform(
+        pts = scale * pose.transform(
             rng.normal(size=(n, 3)) * np.array([0.3, 0.2, 0.01]) + rng.uniform(-2, 2, 3)
         )
         obb = fit_obb(PointCloud(pts))

@@ -19,6 +19,7 @@ from cuboidpose import (
     fit_obb,
     fit_quadrilateral,
     hsv_threshold,
+    largest_component,
     region_growing,
     roi_filter,
     target_axis_points,
@@ -40,7 +41,7 @@ from cuboidpose.segmentation import (
     rgb_to_hsv,
 )
 from cuboidpose.synth import BackgroundPlane, SceneSpec, render_scene
-from conftest import FACE, face_plane
+from conftest import FACE, count_labels, face_plane
 
 RED = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_hi=1.0)
 
@@ -201,6 +202,52 @@ def test_hsv_matches_full_frame_oracle(img, rng):
     """Skipping gray pixels when s_lo > 0 leaves the mask unchanged, with and
     without hue wrap-around."""
     assert np.array_equal(hsv_threshold(img, rng).data, full_frame_hsv_mask(img, rng))
+
+
+def hsv_candidates(img):
+    """The pixels `hsv_threshold` hands to `rgb_to_hsv` when s_lo > 0."""
+    seen = []
+
+    def convert(pixels):
+        seen.append(pixels.copy())
+        return rgb_to_hsv(pixels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "rgb_to_hsv", convert)
+        hsv_threshold(img, RED)
+    return seen[0]
+
+
+def chromatic_pixels(img):
+    """Oracle: the pixels whose channels are not all equal, in raster order."""
+    r, g, b = (img[..., i] for i in range(3))
+    return img[(r != g) | (g != b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_images())
+def test_hsv_candidates_match_channel_oracle(img):
+    assert np.array_equal(hsv_candidates(img), chromatic_pixels(img))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (3, 5), (5, 3), (7, 1), (4, 6)])
+@pytest.mark.parametrize("kind", ["gray", "chromatic", "last_pixel_green_blue"])
+def test_hsv_candidates_small_and_odd_images(shape, kind):
+    """The stride-3 pairs reach the last pixel's bytes and no further: an
+    all-gray image has no candidate, and one whose pixels differ only in
+    r != g or only in g != b (the last pixel's test reads the array's final
+    byte) has every pixel."""
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    img = np.repeat(rng.integers(0, 256, shape + (1,), dtype=np.uint8), 3, axis=2)
+    if kind != "gray":
+        flat = img.reshape(-1, 3)
+        flat[0::2, 0] ^= 1  # r != g, g == b
+        flat[1::2, 2] ^= 1  # r == g, g != b
+        if kind == "last_pixel_green_blue":
+            flat[-1] = (9, 9, 10)
+    want = chromatic_pixels(img)
+    assert len(want) == (0 if kind == "gray" else img.shape[0] * img.shape[1])
+    assert np.array_equal(hsv_candidates(img), want)
 
 
 # ---------------------------------------------------------------- clustering
@@ -581,6 +628,95 @@ def test_quadrilateral_hull_of_outline_equals_all_pixel_hull(dropout, seed, tria
     rgb, _, _, _, _ = render_scene(scene_spec_for(config, scene_seed, gt, corner))
     mask = hsv_threshold(rgb, RED)
     assert fit_quadrilateral(mask).corners.tobytes() == all_pixel_quad(mask).tobytes()
+
+
+def _boundary_oracle(c):
+    return c & ~ndimage.binary_erosion(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        bool,
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        elements=st.booleans(),
+        fill=st.nothing(),
+    )
+)
+def test_boundary_matches_erosion(c):
+    """Neighbour slices give erosion's boundary: set pixels on the array's
+    border count as boundary, and so do those around holes."""
+    got = segmentation._boundary(c)
+    assert got.dtype == bool
+    assert np.array_equal(got, _boundary_oracle(c))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        np.ones((1, 1), bool),  # one pixel
+        np.ones((1, 9), bool),  # one row
+        np.ones((9, 1), bool),  # one column
+        np.ones((6, 7), bool),  # filling the box
+        np.pad(np.ones((3, 3), bool), 2) ^ np.ones((7, 7), bool),  # a ring round a hole
+        np.eye(5, dtype=bool),  # diagonal: 8- but not 4-connected
+    ],
+)
+def test_boundary_small_shapes(c):
+    assert np.array_equal(segmentation._boundary(c), _boundary_oracle(c))
+
+
+def component_masks():
+    """Masks for the carried-component checks: rotated, at the frame's
+    borders, with a second component and with a hole."""
+    holed = rect_mask(100, 60, 12.0)
+    holed.data[235:245, 300:330] = 0
+    two = rect_mask(100, 60, 25.0)
+    two.data[400:480, 600:640] = 255
+    return [
+        rect_mask(100, 60, 0.0),
+        rect_mask(100, 60, 17.0),
+        rect_at((120, 160), (0, 60), (40, 120)),
+        rect_at((120, 160), (0, 120), (0, 160)),
+        two,
+        holed,
+    ]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_quadrilateral_reads_the_carried_component(monkeypatch, k):
+    """The outline fitted from `largest_component`'s mask, with no second
+    labelling, is the one a plain copy of that mask gives, bit for bit."""
+    component = largest_component(component_masks()[k], 10)
+    plain = fit_quadrilateral(MaskImage(component.data.copy()))
+    labels = count_labels(monkeypatch)
+    carried = fit_quadrilateral(component)
+    assert labels == []
+    assert carried.corners.tobytes() == plain.corners.tobytes()
+
+
+def test_quadrilateral_carried_component_min_area():
+    """A min_area above the carried component's size fails as the plain mask
+    does, with the same message."""
+    component = largest_component(component_masks()[1], 10)
+    size = int(np.count_nonzero(component.data))
+    assert component.count() == size
+    for min_area in (size + 1, 10 * size):
+        with pytest.raises(NoComponent) as carried:
+            fit_quadrilateral(component, min_area=min_area)
+        with pytest.raises(NoComponent) as plain:
+            fit_quadrilateral(MaskImage(component.data.copy()), min_area=min_area)
+        assert str(carried.value) == str(plain.value)
+    fit_quadrilateral(component, min_area=size)
+
+
+def test_largest_component_is_read_only():
+    """The carried box and count cannot go stale: the mask cannot be written."""
+    component = largest_component(rect_mask(100, 60, 17.0))
+    with pytest.raises(ValueError):
+        component.data[240, 320] = 0
+    with pytest.raises(ValueError):
+        component.data[:] = 255
 
 
 # ---------------------------------------------------------------- ROI gate
