@@ -18,7 +18,7 @@ from .correction import (
     correct_pose,
     make_reference_face,
 )
-from .errors import CuboidPoseError, NoRoiMatch, ParseError, PipelineError
+from .errors import CuboidPoseError, InvalidSpec, NoRoiMatch, ParseError, PipelineError
 from .filters import statistical_outlier_removal, voxel_downsample
 from .geometry import (
     PointCloud,
@@ -97,10 +97,17 @@ class PipelineConfig:
     hsv: HsvRange = field(init=False)
     roi: RoiSpec = field(init=False)
     registration: RegistrationParams = field(init=False)
+    # the reference grid at `pitch_m`, built once here; its points are read-only
+    reference: ReferenceFace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.voxel_leaf_m <= 0:
-            raise ValueError("voxel_leaf_m must be positive")
+        for name in ("voxel_leaf_m", "reg_eps_m", "reg_inlier_dist_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.sor_k < 1:
+            raise ValueError("sor_k must be >= 1")
+        if not 0.0 <= self.reg_min_score <= 1.0:
+            raise ValueError("reg_min_score must lie in [0, 1]")
         self.hsv = HsvRange(
             self.hsv_h_lo,
             self.hsv_h_hi,
@@ -117,14 +124,20 @@ class PipelineConfig:
             min_score=self.reg_min_score,
             seed=self.reg_seed,
         )
+        try:
+            self.reference = make_reference_face(c, self.pitch_m)
+        except InvalidSpec as exc:
+            raise ValueError(str(exc)) from exc
+        self.reference.cloud.points.flags.writeable = False
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "PipelineConfig":
         """Build from string pairs; unknown keys are config errors."""
-        # the face keys, their defaults and their check belong to BenchConfig
-        face = {k: v for k, v in kv.items() if k.startswith("face_")}
+        # the face keys, their defaults and their check belong to BenchConfig,
+        # which grids the face at the pitch the pipeline will use
+        face = {k: v for k, v in kv.items() if k.startswith("face_") or k == "pitch_m"}
         cuboid = _from_kv(BenchConfig, face, "pipeline").cuboid
-        rest = {k: v for k, v in kv.items() if k not in face}
+        rest = {k: v for k, v in kv.items() if not k.startswith("face_")}
         return _from_kv(cls, rest, "pipeline", cuboid=cuboid)
 
 
@@ -248,8 +261,8 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
         depth = load_pgm16(os.path.join(scene_dir, "depth.pgm"))
         intr = load_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
     face = _segment(rgb, depth, intr, config)
+    ref = config.reference
     with _stage("coarse_register"):
-        ref = make_reference_face(config.cuboid, config.pitch_m)
         params = config.registration
         start = _plane_pose(face)
         score = lcp_score(ref.cloud, face.segment, start, params.inlier_dist)
@@ -510,7 +523,7 @@ def run_bench(config: BenchConfig, out_dir: str) -> BenchResult:
     the CSV and counted in the summary.
     """
     os.makedirs(out_dir, exist_ok=True)
-    ref = make_reference_face(config.cuboid, config.pitch_m)
+    ref = config.pipeline.reference
     for _ in range(min(config.warmup, config.trials)):
         try:
             run_trial(config, ref, 0)

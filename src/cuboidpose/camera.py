@@ -128,6 +128,24 @@ class MaskImage:
         return int(np.count_nonzero(self.data))
 
 
+class _Component(MaskImage):
+    """A mask holding one 8-connected component, as
+    `segmentation.largest_component` returns it, with that component's own
+    bounding box (`box`, row and column slices) and pixel count (returned by
+    `count`), so neither `fit_quadrilateral` nor `deproject_mask` labels or
+    scans the full frame again. Its array is read-only, so the carried box and
+    count cannot go stale."""
+
+    def __init__(self, data: np.ndarray, box: tuple[slice, slice], count: int):
+        super().__init__(data)
+        self.data.flags.writeable = False
+        self.box = box
+        self._count = count
+
+    def count(self) -> int:
+        return self._count
+
+
 def _check_dims(intr: CameraIntrinsics, img) -> None:
     if img.width != intr.width or img.height != intr.height:
         raise DimensionMismatch(
@@ -192,11 +210,13 @@ def deproject_mask(intr: CameraIntrinsics, depth: DepthImage, mask: MaskImage) -
     box's row-major order is the full frame's, so the points are those of a
     full-frame scan, bit for bit. The box's depth is read with
     `DepthImage.block`, so an image loaded from disk converts only that box
-    to meters. An empty mask gives a (0, 3) cloud.
+    to meters. A component from `segmentation.largest_component` carries its
+    box, which is read instead of scanning the full mask for it. An empty
+    mask gives a (0, 3) cloud.
     """
     _check_dims(intr, depth)
     _check_dims(intr, mask)
-    box = pixel_box(mask.data)
+    box = mask.box if isinstance(mask, _Component) else pixel_box(mask.data)
     if box is None:
         return PointCloud(np.empty((0, 3)))
     rows, cols = box

@@ -80,7 +80,10 @@ def statistical_outlier_removal(
     cloud: PointCloud, k: int = 50, stddev_mult: float = 1.0
 ) -> PointCloud:
     """Drop points whose mean distance to their k nearest neighbors exceeds
-    the global mean by more than `stddev_mult` standard deviations."""
+    the global mean by more than `stddev_mult` standard deviations. Needs
+    k >= 1 (a ValueError otherwise) and more than k points (TooFewPoints)."""
+    if k < 1:
+        raise ValueError(f"need k >= 1 neighbors, got {k}")
     n = len(cloud)
     if n <= k:
         raise TooFewPoints(f"need more than k={k} points, have {n}")

@@ -318,14 +318,16 @@ class _Lcp:
         `dist` under `pose`, exactly when that count exceeds `floor`, and
         some count not above `floor` otherwise: the sample is queried in
         strided chunks, and the rest is skipped once the misses so far rule
-        out beating `floor`. The search is bounded just past `dist`; a
-        farther neighbor is a miss whatever its distance."""
+        out beating `floor`. With no floor to beat (a negative one) the whole
+        sample is queried in one call. The search is bounded just past
+        `dist`; a farther neighbor is a miss whatever its distance."""
         n = len(self.sample)
         moved = pose.transform(self.sample)
         bound = dist * _LCP_BOUND_SLACK
+        stride = _LCP_STRIDE if floor >= 0 else 1
         misses = 0
-        for k in range(_LCP_STRIDE):
-            d, _ = self.tree.query(moved[k::_LCP_STRIDE], distance_upper_bound=bound)
+        for k in range(stride):
+            d, _ = self.tree.query(moved[k::stride], distance_upper_bound=bound)
             misses += len(d) - int(np.count_nonzero(d <= dist))
             if n - misses <= floor:
                 break
@@ -340,8 +342,20 @@ class _Lcp:
 def lcp_score(source: PointCloud, target: PointCloud, pose: Pose, dist: float) -> float:
     """The LCP score `coarse_register` gives a pose: the fraction of its fixed
     sample of `source` points that land within `dist` of a `target` point
-    under `pose`."""
-    return _Lcp(source.points, cKDTree(target.points)).score(pose, dist)
+    under `pose`.
+
+    The target's tree is built by the sliding-midpoint rule
+    (`balanced_tree=False`, Maneewongvatana & Mount, 1999) without shrinking
+    its nodes to their points (`compact_nodes=False`), which builds several
+    times faster than the default median split. The score reads only
+    distances, and a query's distance to its nearest point is computed from
+    that point and the query alone, whatever the tree's shape, so the score
+    is that of the default tree. `_TrackedNearest` (ICP) and the coarse
+    stage's polish keep the default tree: they read the neighbor's index,
+    and which of two equally near points a query returns depends on the
+    tree's shape."""
+    tree = cKDTree(target.points, balanced_tree=False, compact_nodes=False)
+    return _Lcp(source.points, tree).score(pose, dist)
 
 
 def coarse_register(

@@ -3,6 +3,7 @@ quadrilateral outline fitting and dimension-based region-of-interest gating."""
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .camera import CameraIntrinsics, MaskImage, back_project, pixel_box
+from .camera import CameraIntrinsics, MaskImage, _Component, back_project, pixel_box
 from .errors import (
     DegenerateCloud,
     InvalidDepth,
@@ -210,38 +211,65 @@ def _shoelace(poly: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _merge_least_area_edge(poly: np.ndarray) -> np.ndarray | None:
-    """Remove one edge of a convex CCW polygon by extending its neighbors to
-    their intersection, choosing the removal that adds the least area.
+def _merge_score(poly: list, i: int) -> tuple[float, tuple[float, float] | None]:
+    """The area that removing edge i of a convex CCW polygon (a list of
+    (x, y) floats) adds, and the point w where its neighbours then meet; inf
+    and None when the edge cannot be removed.
 
     Removing edge i, from vertex a = poly[i] to poly[i + 1], extends the edge
     u into a and the edge out of poly[i + 1] until they meet at w = a + s u.
-    All edges are scored at once, each with the arithmetic of a per-edge loop.
-    An edge is skipped when its neighbours are parallel (|denom| < 1e-12) or
-    meet behind it (s <= 0 or t <= 0), and a NaN or infinite added area is
-    never chosen; among equal areas the lowest index wins. Returns None when
-    every edge is skipped.
+    The edge is skipped when its neighbours are parallel (|denom| < 1e-12),
+    meet behind it (s <= 0 or t <= 0), or add a NaN area. Every step is one
+    rounded float64 operation, in Python as in numpy's elementwise
+    arithmetic, so an edge's score has the same bits whether it is scored
+    alone or with all the others.
     """
-    # vertices i + 1, i - 1 and i + 2 for every i
-    b = np.concatenate((poly[1:], poly[:1]))
-    u = poly - np.concatenate((poly[-1:], poly[:-1]))
-    v = b - np.concatenate((poly[2:], poly[:2]))
-    d = b - poly
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        denom = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
-        s = (d[:, 0] * v[:, 1] - d[:, 1] * v[:, 0]) / denom
-        t = (d[:, 0] * u[:, 1] - d[:, 1] * u[:, 0]) / denom
-        w = poly + s[:, None] * u
-        rel = w - poly
-        added = 0.5 * np.abs(d[:, 0] * rel[:, 1] - d[:, 1] * rel[:, 0])
-    skip = (np.abs(denom) < 1e-12) | (s <= 0) | (t <= 0) | np.isnan(added)
-    added[skip] = np.inf
-    i = int(np.argmin(added))
-    if not added[i] < np.inf:
-        return None
-    # w replaces vertex i and vertex i + 1 goes; for the last i that is vertex 0
-    merged = np.concatenate((poly[:i], w[i : i + 1], poly[i + 2 :]))
-    return merged[1:] if i == len(poly) - 1 else merged
+    n = len(poly)
+    (px, py), (ax, ay) = poly[i - 1], poly[i]
+    (bx, by), (qx, qy) = poly[(i + 1) % n], poly[(i + 2) % n]
+    ux, uy = ax - px, ay - py
+    vx, vy = bx - qx, by - qy
+    dx, dy = bx - ax, by - ay
+    denom = ux * vy - uy * vx
+    if abs(denom) < 1e-12:
+        return math.inf, None
+    s = (dx * vy - dy * vx) / denom
+    t = (dx * uy - dy * ux) / denom
+    if s <= 0 or t <= 0:
+        return math.inf, None
+    wx, wy = ax + s * ux, ay + s * uy
+    added = 0.5 * abs(dx * (wy - ay) - dy * (wx - ax))
+    if math.isnan(added):
+        return math.inf, None
+    return added, (wx, wy)
+
+
+def _reduce_hull(poly: np.ndarray, corners: int = 4) -> np.ndarray | None:
+    """Reduce a convex CCW polygon to `corners` vertices, one edge at a time,
+    each time removing the edge whose removal adds the least area
+    (`_merge_score`; among equal areas the lowest index wins). Returns None
+    when, before that, every edge is skipped.
+
+    Removing edge i puts w in place of vertex i and drops vertex i + 1; for
+    the last i that is vertex 0, so the polygon then starts at the old
+    vertex 1. Only the four edges that read w change their score, so only
+    they are scored again; the other scores move with their edges.
+    """
+    pts = poly.tolist()
+    scores = [_merge_score(pts, i) for i in range(len(pts))]
+    while len(pts) > corners:
+        added = [a for a, _ in scores]
+        i = added.index(min(added))
+        if not added[i] < math.inf:
+            return None
+        pts[i] = scores[i][1]
+        gone = (i + 1) % len(pts)
+        del pts[gone], scores[gone]
+        at = i - 1 if gone == 0 else i  # where w now is
+        for j in range(at - 2, at + 2):
+            j %= len(pts)
+            scores[j] = _merge_score(pts, j)
+    return np.array(pts)
 
 
 def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
@@ -297,23 +325,6 @@ def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
     return corners
 
 
-class _Component(MaskImage):
-    """A mask holding one 8-connected component, as `largest_component`
-    returns it, with that component's own bounding box (`box`, row and column
-    slices) and pixel count (returned by `count`), so `fit_quadrilateral`
-    needs neither a second labelling nor a full-frame scan. Its array is
-    read-only, so the carried box and count cannot go stale."""
-
-    def __init__(self, data: np.ndarray, box: tuple[slice, slice], count: int):
-        super().__init__(data)
-        self.data.flags.writeable = False
-        self.box = box
-        self._count = count
-
-    def count(self) -> int:
-        return self._count
-
-
 def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
     """The mask's largest 8-connected component, alone in a mask of the same
     size. Raises NoComponent when the mask is empty or that component has
@@ -322,28 +333,39 @@ def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
     Labelling runs on the mask's bounding box only. Raster order, and with it
     label numbering (the first of equal-sized components wins), is that of
     the full frame. The returned mask is read-only and carries the
-    component's bounding box and pixel count, which `fit_quadrilateral` reads
-    in place of labelling it again.
+    component's bounding box and pixel count, which `fit_quadrilateral` and
+    `deproject_mask` read in place of labelling or scanning it again.
+
+    When the box holds a single label, as a lone face's mask does, that
+    label's pixels are all the labelled ones, counted with one
+    `np.count_nonzero`, and its box is the labelled box. Only with several
+    labels are the sizes tallied (`np.bincount`) and the winner's own box
+    found.
     """
     box = pixel_box(mask.data)
     if box is None:
         raise NoComponent("mask is empty")
-    labeled, _ = ndimage.label(mask.data[box], structure=np.ones((3, 3), dtype=int))
-    sizes = np.bincount(labeled.ravel())[1:]
-    biggest = int(np.argmax(sizes)) + 1
-    if sizes[biggest - 1] < min_area:
-        raise NoComponent(
-            f"largest component has {sizes[biggest - 1]} px, need {min_area}"
-        )
+    labeled, n_labels = ndimage.label(
+        mask.data[box], structure=np.ones((3, 3), dtype=int)
+    )
+    if n_labels == 1:
+        biggest, size = 1, int(np.count_nonzero(labeled))
+    else:
+        sizes = np.bincount(labeled.ravel())[1:]
+        biggest = int(np.argmax(sizes)) + 1
+        size = int(sizes[biggest - 1])
+    if size < min_area:
+        raise NoComponent(f"largest component has {size} px, need {min_area}")
     component = labeled == biggest
     data = np.zeros_like(mask.data)
     np.multiply(component, 255, out=data[box], dtype=np.uint8)
-    rows, cols = pixel_box(component)
-    own = (
-        slice(rows.start + box[0].start, rows.stop + box[0].start),
-        slice(cols.start + box[1].start, cols.stop + box[1].start),
-    )
-    return _Component(data, own, int(sizes[biggest - 1]))
+    if n_labels > 1:
+        rows, cols = pixel_box(component)
+        box = (
+            slice(rows.start + box[0].start, rows.stop + box[0].start),
+            slice(cols.start + box[1].start, cols.stop + box[1].start),
+        )
+    return _Component(data, box, size)
 
 
 def _boundary(component: np.ndarray) -> np.ndarray:
@@ -393,11 +415,9 @@ def fit_quadrilateral(mask: MaskImage, min_area: int = 100) -> Quadrilateral2D:
     hull_area = abs(_shoelace(poly))
     if len(poly) < 4:
         raise NotQuadrilateralLike(f"outline has only {len(poly)} hull vertices")
-    while len(poly) > 4:
-        reduced = _merge_least_area_edge(poly)
-        if reduced is None:
-            raise NotQuadrilateralLike("could not merge hull edges")
-        poly = reduced
+    poly = _reduce_hull(poly)
+    if poly is None:
+        raise NotQuadrilateralLike("could not merge hull edges")
     quad_area = abs(_shoelace(poly))
     if quad_area > hull_area * 1.15:
         raise NotQuadrilateralLike(

@@ -7,8 +7,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import ndimage
 
-from cuboidpose import bench, synth
+from cuboidpose import bench, camera, segmentation, synth
 from cuboidpose.bench import (
     BenchConfig,
     PipelineConfig,
@@ -206,6 +207,18 @@ def test_pipeline_config_from_kv():
     assert defaults.min_mask_pixels == 100
 
 
+def test_pipeline_config_grids_a_small_face_at_its_own_pitch():
+    """A face too small for the default 6 mm grid is valid at a finer
+    `pitch_m`, and its reference grid is built at that pitch once."""
+    kv = {"face_width_m": "0.04", "face_height_m": "0.02", "face_depth_m": "0.01"}
+    with pytest.raises(ValueError):
+        PipelineConfig.from_kv(kv)
+    config = PipelineConfig.from_kv(dict(kv, pitch_m="0.004"))
+    assert config.reference.pitch == 0.004
+    assert len(config.reference.cloud) == 11 * 6
+    assert not config.reference.cloud.points.flags.writeable
+
+
 def test_pipeline_config_unknown_key():
     with pytest.raises(ParseError):
         PipelineConfig.from_kv({"voxel_leaf": "0.004"})
@@ -272,6 +285,14 @@ def test_pipeline_config_key_set():
         # keys of the removed geometry front end
         {"mode": "color"},
         {"z_far_m": "2"},
+        # values that crashed, or failed only after the scene was read
+        {"sor_k": "0"},
+        {"pitch_m": "0"},
+        {"pitch_m": "0.2"},
+        {"reg_min_score": "2"},
+        {"reg_min_score": "-0.1"},
+        {"reg_inlier_dist_m": "0"},
+        {"reg_eps_m": "0"},
     ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):
@@ -281,6 +302,59 @@ def test_pipeline_config_rejects_bad_input(tmp_path, kv):
     write_kv(conf, kv)
     # rejected as a config error before the (missing) scene is read
     assert main(["pipeline", str(tmp_path / "nowhere"), "--config", str(conf)]) == 2
+
+
+def test_pipeline_frame_does_no_repeated_work(tmp_path, drawn, monkeypatch):
+    """One `run_pipeline` frame builds no reference face (the config holds
+    it), scans a full-frame array for its box at most once (the component
+    carries its box to `deproject_mask`) and, with one label in the mask,
+    sizes it without `np.bincount`."""
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    config = PipelineConfig(cuboid=drawn.spec.cuboid)
+    built = []
+    real_face = bench.make_reference_face
+
+    def face(*args):
+        built.append(args)
+        return real_face(*args)
+
+    monkeypatch.setattr(bench, "make_reference_face", face)
+    full_scans = []
+    real_box = camera.pixel_box
+
+    def box(image):
+        if image.shape == (drawn.intr.height, drawn.intr.width):
+            full_scans.append(image.shape)
+        return real_box(image)
+
+    monkeypatch.setattr(camera, "pixel_box", box)
+    monkeypatch.setattr(segmentation, "pixel_box", box)
+    labelled = []
+    real_label = ndimage.label
+
+    def label(*args, **kwargs):
+        out = real_label(*args, **kwargs)
+        labelled.append(out)
+        return out
+
+    monkeypatch.setattr(ndimage, "label", label)
+    tallied = []
+    real_bincount = np.bincount
+
+    def bincount(x, *args, **kwargs):
+        if any(np.shares_memory(x, lab) for lab, _ in labelled):
+            tallied.append(x.shape)
+        return real_bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", bincount)
+    run_pipeline(str(tmp_path), config)
+    assert built == []
+    assert len(full_scans) <= 1
+    assert [n for _, n in labelled] == [1]
+    assert tallied == []
 
 
 def _write_scene(out_dir, spec):
@@ -503,8 +577,10 @@ def test_pipeline_failed_check_and_search_names_coarse_register(
         tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
         drawn.gt_pose, drawn.spec.cuboid,
     )
-    # no search winner can score above 1
-    config = PipelineConfig(cuboid=drawn.spec.cuboid, reg_min_score=1.01)
+    # no search winner can score above 1; the reg_min_score key must lie in
+    # [0, 1], so the bar is raised on the built registration params
+    config = PipelineConfig(cuboid=drawn.spec.cuboid)
+    config.registration.min_score = 1.01
     with pytest.raises(PipelineError) as err:
         run_pipeline(str(tmp_path), config)
     assert err.value.stage == "coarse_register"

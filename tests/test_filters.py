@@ -269,6 +269,12 @@ def test_sor_needs_more_than_k():
         statistical_outlier_removal(PointCloud(np.zeros((5, 3))), k=10)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_sor_needs_a_neighbor(k):
+    with pytest.raises(ValueError):
+        statistical_outlier_removal(PointCloud(np.zeros((5, 3))), k=k)
+
+
 # ---------------------------------------------------------------- normals
 
 def test_normals_flat_plane():

@@ -12,6 +12,7 @@ from cuboidpose import (
     coarse_register,
     icp_refine,
     kabsch,
+    lcp_score,
     make_reference_face,
     pairs_in_range,
     voxel_downsample,
@@ -331,6 +332,72 @@ def test_icp_pose_orthonormal():
     res = icp_refine(ref.cloud, target, start)
     assert_allclose(res.pose.r.T @ res.pose.r, np.eye(3), atol=1e-9)
     assert np.linalg.det(res.pose.r) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------- LCP score
+
+# meters; sums, differences and squares of small multiples of it are exact
+LATTICE = 2.0**-8
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_target=st.one_of(st.integers(1, 3), st.integers(4, 300)),
+    n_dup=st.integers(0, 40),
+    n_free=st.integers(0, 200),
+    n_edge=st.integers(0, 100),
+    steps=st.integers(1, 8),
+    moved=st.booleans(),
+)
+def test_lcp_score_matches_default_tree(seed, n_target, n_dup, n_free, n_edge, steps, moved):
+    """`lcp_score` builds a sliding-midpoint tree; its score equals the count
+    of sampled points whose nearest target point, found by a default
+    `cKDTree` with no bound, is within `dist`. Targets may be 1-3 points or
+    repeat points; source points placed exactly `dist` from a target along an
+    axis, with no pose to round them, sit on the `d <= dist` edge."""
+    rng = np.random.default_rng(seed)
+    dist = steps * LATTICE
+    tgt = rng.integers(-64, 65, size=(n_target, 3)) * LATTICE
+    tgt = np.concatenate([tgt, tgt[rng.integers(n_target, size=n_dup)]])
+    edge = tgt[rng.integers(len(tgt), size=n_edge)]
+    edge[np.arange(n_edge), rng.integers(3, size=n_edge)] += rng.choice([-dist, dist], n_edge)
+    free = rng.integers(-80, 81, size=(n_free, 3)) * LATTICE
+    src = np.concatenate([edge, free])
+    if len(src) == 0:
+        src = tgt[:1]
+    pose = Pose.identity()
+    if moved:
+        turn = rotation_about(rng.normal(size=3), rng.uniform(-0.1, 0.1))
+        pose = Pose(turn, rng.normal(scale=0.01, size=3))
+    sample = registration._Lcp(src, None).sample
+    d, _ = cKDTree(tgt).query(pose.transform(sample))
+    want = np.count_nonzero(d <= dist) / len(sample)
+    if not moved and n_edge:
+        assert np.count_nonzero(d == dist) > 0
+    assert lcp_score(PointCloud(src), PointCloud(tgt), pose, dist) == want
+
+
+def test_only_the_plane_check_reshapes_its_tree(monkeypatch, rendered_target):
+    """ICP and the coarse search read neighbor indices, whose ties the tree's
+    shape breaks, so they build default trees; only `lcp_score` does not."""
+    made = []
+    real = registration.cKDTree
+
+    def recorded(*args, **kwargs):
+        made.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(registration, "cKDTree", recorded)
+    target, _, scene_seed = rendered_target
+    ref = make_reference_face(FACE, 0.006)
+    params = RegistrationParams(seed=scene_seed)
+    pose = coarse_register(ref.cloud, target, params).pose
+    icp_refine(ref.cloud, target, pose, max_iter=3)
+    assert made and all(kwargs == {} for kwargs in made)
+    made.clear()
+    lcp_score(ref.cloud, target, pose, params.inlier_dist)
+    assert made == [{"balanced_tree": False, "compact_nodes": False}]
 
 
 # ---------------------------------------------------------------- tracked nearest neighbors

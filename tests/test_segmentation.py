@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -35,7 +35,7 @@ from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
 from cuboidpose.camera import project
 from cuboidpose.geometry import Pose, rotation_about, rotation_z
 from cuboidpose.segmentation import (
-    _merge_least_area_edge,
+    _reduce_hull,
     _refine_quad,
     _shoelace,
     rgb_to_hsv,
@@ -406,7 +406,7 @@ def all_pixel_quad(mask):
     if _shoelace(poly) < 0:
         poly = poly[::-1]
     while len(poly) > 4:
-        poly = _merge_least_area_edge(poly)
+        poly = merge_least_area_edge_loop(poly)
     if _shoelace(poly) < 0:
         poly = poly[::-1]
     polished = _refine_quad(poly, boundary)
@@ -492,8 +492,10 @@ def test_quadrilateral_two_components(monkeypatch):
 
 
 def merge_least_area_edge_loop(poly):
-    """The per-vertex loop that `_merge_least_area_edge` scores at once; the
-    two must agree bit for bit, None included."""
+    """One merge of the hull reduction, scoring every edge afresh in a
+    per-vertex loop: the oracle that each step of `_reduce_hull`, which
+    rescores only the edges next to each merge, must match bit for bit, None
+    included."""
     n = len(poly)
     best_area = np.inf
     best = None
@@ -587,25 +589,47 @@ def hull_polygons(draw):
     return np.array([[0.0, 0.0], [a, 0.0], [a + c, b + eps], [c, b]])
 
 
-@settings(max_examples=300, deadline=None)
-@given(hull_polygons())
-def test_merge_least_area_edge_matches_loop(poly):
-    """Each merge, down to a triangle or to None, equals the loop's."""
+def loop_reductions(poly):
+    """The oracle's polygon at each vertex count from len(poly) down to 3,
+    keyed by that count; a count below the first merge that gives None maps
+    to None."""
+    steps = {len(poly): poly}
     while len(poly) > 3:
         with np.errstate(all="ignore"):
-            want = merge_least_area_edge_loop(poly)
-        got = _merge_least_area_edge(poly)
+            poly = merge_least_area_edge_loop(poly)
+        if poly is None:
+            break
+        steps[len(poly)] = poly
+    return {k: steps.get(k) for k in range(3, len(steps[max(steps)]) + 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_polygons())
+# neighbours of the left edge are parallel, so it is skipped
+@example(np.array([[0.0, 0.0], [4.0, 0.0], [5.0, 1.0], [5.0, 2.0], [4.0, 3.0], [0.0, 3.0]]))
+# every corner cut of a lattice octagon adds the same area
+@example(
+    np.array(
+        [[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [3.0, 2.0], [2.0, 3.0], [1.0, 3.0],
+         [0.0, 2.0], [0.0, 1.0]]
+    )
+)
+def test_merge_least_area_edge_matches_loop(poly):
+    """Reducing to each vertex count, down to a triangle or to None, gives
+    the loop's polygon after as many merges, bit for bit."""
+    for corners, want in loop_reductions(poly).items():
+        got = _reduce_hull(poly, corners)
         if want is None:
             assert got is None
-            return
-        assert got.tobytes() == want.tobytes()
-        poly = want
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_merge_least_area_edge_parallel_sides_give_none():
     rectangle = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 2.0], [0.0, 2.0]])
     assert merge_least_area_edge_loop(rectangle) is None
-    assert _merge_least_area_edge(rectangle) is None
+    assert _reduce_hull(rectangle, 3) is None
+    assert _reduce_hull(rectangle).tobytes() == rectangle.tobytes()
 
 
 # bench scenes without and with the 10 % corner dropout
