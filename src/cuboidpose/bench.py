@@ -18,7 +18,14 @@ from .correction import (
     correct_pose,
     make_reference_face,
 )
-from .errors import CuboidPoseError, InvalidSpec, NoRoiMatch, ParseError, PipelineError
+from .errors import (
+    CuboidPoseError,
+    InvalidSpec,
+    NoRoiMatch,
+    ParseError,
+    PipelineError,
+    TooFewPoints,
+)
 from .filters import statistical_outlier_removal, voxel_downsample
 from .geometry import (
     PointCloud,
@@ -29,7 +36,13 @@ from .geometry import (
     rotation_z,
 )
 from .io import load_intrinsics, load_pgm16, load_ppm
-from .registration import RegistrationParams, coarse_register, icp_refine, lcp_score
+from .registration import (
+    MIN_POINTS,
+    RegistrationParams,
+    coarse_register,
+    icp_refine,
+    lcp_score,
+)
 from .segmentation import (
     HsvRange,
     Quadrilateral2D,
@@ -106,6 +119,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be positive")
         if self.sor_k < 1:
             raise ValueError("sor_k must be >= 1")
+        if not self.sor_stddev_mult >= 0:
+            raise ValueError("sor_stddev_mult must be >= 0")
         if not 0.0 <= self.reg_min_score <= 1.0:
             raise ValueError("reg_min_score must lie in [0, 1]")
         self.hsv = HsvRange(
@@ -190,7 +205,9 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
     that cloud (then drops statistical outliers when `use_sor` is on) into
     the segment, and takes the axis points where the pixel rays of the
     outline quadrilateral's corners meet the face plane, which must lie the
-    face's width apart (`_check_axis_length`). That plane runs
+    face's width apart (`_check_axis_length`). A segment of fewer than
+    `registration.MIN_POINTS` points, too few to register, fails under
+    `filters` (TooFewPoints). The face plane runs
     through the mean of the deprojected component and is normal to the smallest
     axis of the ROI gate's box; the box's center would follow the noise
     extremes along the normal. The ROI gate runs before voxelling because
@@ -210,6 +227,11 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
         if config.use_sor and len(segment) > config.sor_k:
             segment = statistical_outlier_removal(
                 segment, config.sor_k, config.sor_stddev_mult
+            )
+        if len(segment) < MIN_POINTS:
+            raise TooFewPoints(
+                f"{len(segment)} points left after filtering, registration "
+                f"needs {MIN_POINTS}"
             )
     with _stage("t_points"):
         quad = fit_quadrilateral(mask)

@@ -81,9 +81,12 @@ def statistical_outlier_removal(
 ) -> PointCloud:
     """Drop points whose mean distance to their k nearest neighbors exceeds
     the global mean by more than `stddev_mult` standard deviations. Needs
-    k >= 1 (a ValueError otherwise) and more than k points (TooFewPoints)."""
+    k >= 1 and `stddev_mult` >= 0 (a ValueError otherwise) and more than k
+    points (TooFewPoints)."""
     if k < 1:
         raise ValueError(f"need k >= 1 neighbors, got {k}")
+    if not stddev_mult >= 0:
+        raise ValueError(f"need stddev_mult >= 0, got {stddev_mult}")
     n = len(cloud)
     if n <= k:
         raise TooFewPoints(f"need more than k={k} points, have {n}")

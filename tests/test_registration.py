@@ -252,6 +252,32 @@ def test_kabsch_with_centred_source_is_bitwise_equal():
     assert got.t.tobytes() == want.t.tobytes()
 
 
+def kabsch_mean_oracle(src, dst):
+    """`kabsch` with the target centroid it had: `dst.mean(axis=0)`."""
+    cs = src.mean(axis=0)
+    cd = dst.mean(axis=0)
+    u, _, vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return Pose(r, cd - r @ cs)
+
+
+@pytest.mark.parametrize("n", [4, 1734, 7776])
+def test_kabsch_centroid_from_running_sums_is_bitwise_mean(n):
+    """The target centroid from column running sums gives the fit of
+    `dst.mean(axis=0)`, bit for bit, on row-major gathers like ICP's; 1734
+    and 7776 rows are the trial workloads' reference grids."""
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        src = rng.normal(loc=[0.1, -0.2, 1.0], scale=0.1, size=(n, 3))
+        cloud = rng.normal(scale=rng.uniform(0.01, 10.0), size=(2 * n, 3))
+        dst = np.take(cloud + rng.normal(size=3), rng.integers(0, 2 * n, n), axis=0)
+        want = kabsch_mean_oracle(src, dst)
+        got = kabsch(src, dst)
+        assert got.r.tobytes() == want.r.tobytes()
+        assert got.t.tobytes() == want.t.tobytes()
+
+
 # ---------------------------------------------------------------- ICP
 
 def test_icp_stays_put_at_ground_truth():

@@ -35,6 +35,7 @@ from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
 from cuboidpose.camera import project
 from cuboidpose.geometry import Pose, rotation_about, rotation_z
 from cuboidpose.segmentation import (
+    _HSV_BAND_ROWS,
     _reduce_hull,
     _refine_quad,
     _shoelace,
@@ -205,17 +206,19 @@ def test_hsv_matches_full_frame_oracle(img, rng):
 
 
 def hsv_candidates(img):
-    """The pixels `hsv_threshold` hands to `rgb_to_hsv` when s_lo > 0."""
+    """The pixels `hsv_threshold` hands to its box test when s_lo > 0,
+    concatenated over the bands in raster order."""
     seen = []
+    real = segmentation._in_box
 
-    def convert(pixels):
+    def box(pixels, rng):
         seen.append(pixels.copy())
-        return rgb_to_hsv(pixels)
+        return real(pixels, rng)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(segmentation, "rgb_to_hsv", convert)
+        mp.setattr(segmentation, "_in_box", box)
         hsv_threshold(img, RED)
-    return seen[0]
+    return np.concatenate(seen)
 
 
 def chromatic_pixels(img):
@@ -230,13 +233,20 @@ def test_hsv_candidates_match_channel_oracle(img):
     assert np.array_equal(hsv_candidates(img), chromatic_pixels(img))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (3, 5), (5, 3), (7, 1), (4, 6)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (1, 1), (1, 7), (3, 5), (5, 3), (7, 1), (4, 6),
+        (_HSV_BAND_ROWS + 1, 3), (2 * _HSV_BAND_ROWS, 2),
+    ],
+)
 @pytest.mark.parametrize("kind", ["gray", "chromatic", "last_pixel_green_blue"])
 def test_hsv_candidates_small_and_odd_images(shape, kind):
     """The stride-3 pairs reach the last pixel's bytes and no further: an
     all-gray image has no candidate, and one whose pixels differ only in
     r != g or only in g != b (the last pixel's test reads the array's final
-    byte) has every pixel."""
+    byte) has every pixel. The last two shapes span two bands: each band's
+    last pixel is tested, and the bands' candidates join in raster order."""
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     img = np.repeat(rng.integers(0, 256, shape + (1,), dtype=np.uint8), 3, axis=2)
     if kind != "gray":
@@ -248,6 +258,56 @@ def test_hsv_candidates_small_and_odd_images(shape, kind):
     want = chromatic_pixels(img)
     assert len(want) == (0 if kind == "gray" else img.shape[0] * img.shape[1])
     assert np.array_equal(hsv_candidates(img), want)
+
+
+def all_colours():
+    """Every 8-bit colour once, as a 4096 x 4096 image."""
+    levels = np.arange(256, dtype=np.uint8)
+    img = np.empty((256, 256, 256, 3), dtype=np.uint8)
+    img[..., 0] = levels[:, None, None]
+    img[..., 1] = levels[:, None]
+    img[..., 2] = levels
+    return img.reshape(4096, 4096, 3)
+
+
+def float_ulp_range():
+    """A box whose h_hi and s_lo are the float hue and saturation of
+    (1, 51, 50). The float formula puts them an ulp off the exact 178.8 and
+    50/51, on the side that keeps the colour in the box; the exact values, an
+    ulp outside, would leave it out, so only the margin's fallback to the
+    float formula keeps the masks equal."""
+    h, s, _ = rgb_to_hsv_oracle(np.array([1, 51, 50], dtype=np.uint8))
+    assert float(h) < 178.8 and float(s) > 50 / 51
+    return HsvRange(90.0, float(h), float(s), 1.0, 0.0, 1.0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "rng",
+    [
+        RED,
+        HsvRange(0.0, 60.0, 0.0, 1.0, 0.0, 1.0),  # gray pixels are candidates
+        HsvRange(120.0, 120.0, 0.5, 0.5, 0.0, 1.0),  # one hue, one saturation
+        HsvRange(300.0, 60.0, 1 / 3, 2 / 3, 51 / 255, 204 / 255),
+        HsvRange(180.0, 240.0, 0.0, 2 / 3, 0.0, 204 / 255),
+        float_ulp_range(),
+    ],
+    ids=[
+        "red_wrap", "gray_candidates", "single_hue_sat", "third_bounds",
+        "blue_s0", "float_ulp_bounds",
+    ],
+)
+def test_hsv_threshold_exact_on_every_colour(rng):
+    """The integer box test agrees with float HSV on all 2^24 colours,
+    including bounds that land exactly on integer hues (60, 120, 180, 240,
+    300), saturations (1/3, 1/2, 2/3) and values (51/255, 204/255), and
+    bounds an ulp from an exact value. The oracle runs on 256-row slices to
+    keep its float arrays small."""
+    img = all_colours()
+    got = hsv_threshold(img, rng).data
+    for top in range(0, img.shape[0], 256):
+        want = full_frame_hsv_mask(img[top : top + 256], rng)
+        assert np.array_equal(got[top : top + 256], want), top
 
 
 # ---------------------------------------------------------------- clustering

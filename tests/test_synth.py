@@ -25,6 +25,7 @@ from cuboidpose.synth import (
     BackgroundPlane,
     GroundTruth,
     _local_corners,
+    _paint,
     _validate,
     inject_pose_error,
 )
@@ -436,6 +437,34 @@ def test_render_face_out_of_the_bottom(intr640):
     _, o_mask = assert_render_matches_oracle(spec)
     assert o_mask.data[-1].any()
     assert _spans_block_edge(o_mask.data.any(axis=1))
+
+
+def paint_oracle(rgb, color, where=None):
+    """`_paint` as a per-channel fill, with or without `where`."""
+    color = np.asarray(color, dtype=np.uint8).reshape(3)
+    for c in range(3):
+        if where is None:
+            rgb[..., c] = color[c]
+        else:
+            np.copyto(rgb[..., c], color[c], where=where)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (4, 6), (720, 1280)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_paint_matches_per_channel_fill(shape, masked):
+    """The whole-image paint (row 0, then copied down) and the masked paint
+    write the bytes of the per-channel fill, into a contiguous image and into
+    a box view of a larger one, as the face paint writes it."""
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    big = rng.integers(0, 256, (shape[0] + 2, shape[1] + 3, 3), dtype=np.uint8)
+    box = (slice(1, -1), slice(2, -1))
+    where = rng.random(shape) < 0.5 if masked else None
+    for color in [(0, 0, 0), (255, 255, 255), (200, 30, 41), [7, 250, 128]]:
+        for image, part in [(big[box].copy(), ...), (big, box)]:
+            got, want = image.copy(), image.copy()
+            _paint(got[part], color, where)
+            paint_oracle(want[part], color, where)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_render_allocates_little_beyond_its_outputs():
