@@ -26,7 +26,7 @@ from .errors import (
     PipelineError,
     TooFewPoints,
 )
-from .filters import statistical_outlier_removal, voxel_downsample
+from .filters import voxel_downsample
 from .geometry import (
     PointCloud,
     Pose,
@@ -87,7 +87,10 @@ def _from_kv(cls, kv: dict[str, str], what: str, **given):
 @dataclass
 class PipelineConfig:
     """Knobs for a single end-to-end run; every field but `cuboid` has a
-    key=value spelling, and the `face_*_m` keys set `cuboid`."""
+    key=value spelling, and the `face_*_m` keys set `cuboid`. `use_sor`
+    accepts only 0: statistical outlier removal is no longer a pipeline
+    stage, and the field stays so that configs which turn it off still
+    load."""
 
     cuboid: CuboidSpec = _DEFAULT_CUBOID
     hsv_h_lo: float = _DEFAULT_HSV.h_lo
@@ -98,9 +101,7 @@ class PipelineConfig:
     hsv_v_hi: float = _DEFAULT_HSV.v_hi
     min_mask_pixels: int = 100
     voxel_leaf_m: float = 0.005
-    use_sor: bool = True
-    sor_k: int = 50
-    sor_stddev_mult: float = 1.0
+    use_sor: bool = False
     roi_tolerance: float = 0.15
     pitch_m: float = 0.006
     reg_eps_m: float = RegistrationParams.eps
@@ -115,12 +116,13 @@ class PipelineConfig:
 
     def __post_init__(self):
         for name in ("voxel_leaf_m", "reg_eps_m", "reg_inlier_dist_m"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.sor_k < 1:
-            raise ValueError("sor_k must be >= 1")
-        if not self.sor_stddev_mult >= 0:
-            raise ValueError("sor_stddev_mult must be >= 0")
+        if self.use_sor:
+            raise ValueError(
+                "use_sor must be 0: statistical outlier removal is no longer "
+                "a pipeline stage"
+            )
         if not 0.0 <= self.reg_min_score <= 1.0:
             raise ValueError("reg_min_score must lie in [0, 1]")
         self.hsv = HsvRange(
@@ -177,7 +179,7 @@ class PipelineResult:
 class FrontEnd(NamedTuple):
     """What `_segment` measures of the face in one frame."""
 
-    segment: PointCloud  # the voxelled face cloud, SOR-filtered when use_sor is on
+    segment: PointCloud  # the voxelled face cloud
     t1: np.ndarray  # axis point on one short edge of the outline, on the face plane
     t2: np.ndarray  # axis point on the other short edge
     quad: Quadrilateral2D  # outline of the mask's largest component
@@ -202,15 +204,14 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
     Thresholds the RGB image and keeps the mask's largest connected component,
     so a same-coloured speck elsewhere in the frame reaches neither the cloud
     nor the outline. It sizes the face on the deprojected component, voxels
-    that cloud (then drops statistical outliers when `use_sor` is on) into
-    the segment, and takes the axis points where the pixel rays of the
-    outline quadrilateral's corners meet the face plane, which must lie the
-    face's width apart (`_check_axis_length`). A segment of fewer than
-    `registration.MIN_POINTS` points, too few to register, fails under
-    `filters` (TooFewPoints). The face plane runs
-    through the mean of the deprojected component and is normal to the smallest
-    axis of the ROI gate's box; the box's center would follow the noise
-    extremes along the normal. The ROI gate runs before voxelling because
+    that cloud into the segment (its only filter), and takes the axis points
+    where the pixel rays of the outline quadrilateral's corners meet the face
+    plane, which must lie the face's width apart (`_check_axis_length`). A
+    segment of fewer than `registration.MIN_POINTS` points, too few to
+    register, fails under `filters` (TooFewPoints). The face plane runs
+    through the mean of the deprojected component and is normal to the
+    smallest axis of the ROI gate's box; the box's center would follow the
+    noise extremes along the normal. The ROI gate runs before voxelling because
     where the noisy face crosses a voxel layer the centroids come in denser
     stripes, which tilt the voxel cloud's PCA box by up to 10 degrees and make
     a true face read too large.
@@ -224,10 +225,6 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
         _, obb = roi_filter([cloud], config.roi)
     with _stage("filters"):
         segment = voxel_downsample(cloud, config.voxel_leaf_m)
-        if config.use_sor and len(segment) > config.sor_k:
-            segment = statistical_outlier_removal(
-                segment, config.sor_k, config.sor_stddev_mult
-            )
         if len(segment) < MIN_POINTS:
             raise TooFewPoints(
                 f"{len(segment)} points left after filtering, registration "
@@ -348,6 +345,7 @@ class BenchConfig:
     reg_eps_m: float = RegistrationParams.eps
     reg_inlier_dist_m: float = RegistrationParams.inlier_dist
     reg_min_score: float = RegistrationParams.min_score
+    intrinsics: CameraIntrinsics = field(init=False)  # the rendering camera
     pipeline: PipelineConfig = field(init=False)  # the trial front end
 
     def __post_init__(self):
@@ -360,18 +358,27 @@ class BenchConfig:
             "jitter_m",
             "tilt_deg",
             "scene_yaw_deg",
+            "background_depth_m",
             "warmup",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.dropout_frac < 0.3:
             raise ValueError("dropout_frac must be in [0, 0.3)")
-        if self.distance_m <= 0.3:
+        if not self.distance_m > 0.3:
             raise ValueError("distance_m must exceed 0.3")
+        # a NaN cx or cy reaches CameraIntrinsics, which rejects it
+        self.intrinsics = CameraIntrinsics(
+            fx=self.fx,
+            fy=self.fy,
+            cx=self.img_width / 2.0 if self.cx <= 0 else self.cx,
+            cy=self.img_height / 2.0 if self.cy <= 0 else self.cy,
+            width=self.img_width,
+            height=self.img_height,
+        )
         self.pipeline = PipelineConfig(
             cuboid=self.cuboid,
             voxel_leaf_m=self.voxel_leaf_m,
-            use_sor=False,
             pitch_m=self.pitch_m,
             reg_eps_m=self.reg_eps_m,
             reg_inlier_dist_m=self.reg_inlier_dist_m,
@@ -386,19 +393,6 @@ class BenchConfig:
     @property
     def cuboid(self) -> CuboidSpec:
         return CuboidSpec(self.face_width_m, self.face_height_m, self.face_depth_m)
-
-    @property
-    def intrinsics(self) -> CameraIntrinsics:
-        cx = self.cx if self.cx > 0 else self.img_width / 2.0
-        cy = self.cy if self.cy > 0 else self.img_height / 2.0
-        return CameraIntrinsics(
-            fx=self.fx,
-            fy=self.fy,
-            cx=cx,
-            cy=cy,
-            width=self.img_width,
-            height=self.img_height,
-        )
 
     @property
     def registration(self) -> RegistrationParams:
@@ -485,8 +479,9 @@ def scene_spec_for(
 
 
 def run_trial(config: BenchConfig, ref: ReferenceFace, trial: int) -> TrialRecord:
-    """One seeded scene through the pipeline's front end, `config.pipeline`
-    (SOR off); ICP and the correction start from the same pose."""
+    """One seeded scene through the pipeline's front end, `config.pipeline`,
+    the route `run_pipeline` runs; ICP and the correction start from the same
+    pose."""
     scene_seed, gt, corner, inj_yaw, inj_dt = draw_trial(config, trial)
     scene = scene_spec_for(config, scene_seed, gt, corner)
     rgb, depth, _, _, _ = render_scene(scene)

@@ -32,12 +32,12 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
+        if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
-        if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
+        if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
+            raise ValueError("principal point must lie inside the image")
 
 
 @dataclass

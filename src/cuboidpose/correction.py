@@ -89,7 +89,7 @@ def make_reference_face(spec: CuboidSpec, pitch: float) -> ReferenceFace:
     Point count is (floor(width/pitch) + 1) * (floor(height/pitch) + 1); the
     grid spans the full rectangle symmetrically so its centroid is the origin.
     """
-    if pitch <= 0:
+    if not pitch > 0:
         raise InvalidSpec("grid pitch must be positive")
     if pitch >= min(spec.width, spec.height) / 4.0:
         raise InvalidSpec(

@@ -41,7 +41,7 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     order, the same additions a per-point accumulation makes, so the
     centroids are exact and both paths give the same bits.
     """
-    if leaf <= 0:
+    if not leaf > 0:
         raise ValueError("leaf size must be positive")
     n = len(cloud)
     if n == 0:

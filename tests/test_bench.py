@@ -1,8 +1,10 @@
 """Benchmark harness: trial drawing, the end-to-end pipeline, and the CSV
 report writer."""
 
+import re
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from cuboidpose.errors import (
     RegistrationFailed,
     TooFewPoints,
 )
+from cuboidpose.filters import voxel_downsample
 from cuboidpose.geometry import Pose, rotation_angle
 from cuboidpose.io import load_intrinsics, load_pgm16, load_ppm, save_scene, write_kv
 from cuboidpose.registration import RegistrationParams, coarse_register
@@ -209,7 +212,7 @@ def test_pipeline_config_from_kv():
     assert config.use_sor is False
     defaults = PipelineConfig.from_kv({})
     assert defaults.voxel_leaf_m == 0.005
-    assert defaults.use_sor is True
+    assert defaults.use_sor is False
     assert defaults.min_mask_pixels == 100
 
 
@@ -244,8 +247,6 @@ PIPELINE_KV = {
     "min_mask_pixels": "50",
     "voxel_leaf_m": "0.004",
     "use_sor": "0",
-    "sor_k": "30",
-    "sor_stddev_mult": "2",
     "roi_tolerance": "0.2",
     "pitch_m": "0.005",
     "reg_eps_m": "0.003",
@@ -255,6 +256,13 @@ PIPELINE_KV = {
 }
 
 
+def _pipeline_keys():
+    """`PipelineConfig`'s key=value spellings: its init fields but `cuboid`,
+    plus the `face_*_m` keys that set `cuboid`."""
+    keys = {f.name for f in fields(PipelineConfig) if f.init and f.name != "cuboid"}
+    return keys | {"face_width_m", "face_height_m", "face_depth_m"}
+
+
 def _pipeline_value(config, key):
     if key.startswith("face_"):
         return getattr(config.cuboid, key[len("face_") : -len("_m")])
@@ -262,8 +270,7 @@ def _pipeline_value(config, key):
 
 
 def test_pipeline_config_key_set():
-    keys = {f.name for f in fields(PipelineConfig) if f.init and f.name != "cuboid"}
-    assert keys | {"face_width_m", "face_height_m", "face_depth_m"} == set(PIPELINE_KV)
+    assert _pipeline_keys() == set(PIPELINE_KV)
     assert PipelineConfig.from_kv({}) == PipelineConfig()
     default = PipelineConfig()
     for key, raw in PIPELINE_KV.items():
@@ -271,7 +278,8 @@ def test_pipeline_config_key_set():
         want = {"use_sor": False}.get(key)
         want = float(raw) if want is None else want
         assert _pipeline_value(config, key) == want, key
-        assert _pipeline_value(default, key) != want, key
+        if key != "use_sor":  # its only accepted value is the default
+            assert _pipeline_value(default, key) != want, key
     config = PipelineConfig.from_kv(PIPELINE_KV)
     assert config.hsv == HsvRange(350.0, 10.0, 0.5, 0.9, 0.3, 0.95)
     assert config.registration == RegistrationParams(
@@ -300,6 +308,12 @@ def test_pipeline_config_key_set():
         {"reg_inlier_dist_m": "0"},
         {"reg_eps_m": "0"},
         {"sor_stddev_mult": "-5"},
+        # NaN passes a `<= 0` check
+        {"reg_inlier_dist_m": "nan"},
+        {"reg_eps_m": "nan"},
+        {"voxel_leaf_m": "nan"},
+        # outlier removal is no longer a pipeline stage
+        {"use_sor": "1"},
     ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):
@@ -309,6 +323,23 @@ def test_pipeline_config_rejects_bad_input(tmp_path, kv):
     write_kv(conf, kv)
     # rejected as a config error before the (missing) scene is read
     assert main(["pipeline", str(tmp_path / "nowhere"), "--config", str(conf)]) == 2
+
+
+def test_use_sor_accepts_only_0():
+    """`use_sor` is kept so that configs which turn outlier removal off still
+    load; turning it on is a config error."""
+    with pytest.raises(ValueError, match="no longer a pipeline stage"):
+        PipelineConfig(use_sor=True)
+    assert PipelineConfig(use_sor=False) == PipelineConfig()
+
+
+def test_readme_lists_the_pipeline_keys():
+    """README's `pipeline` key list names exactly the keys `from_kv` takes,
+    so a removed key cannot stay documented."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("`pipeline` config keys")
+    listed = readme[readme.index("):", start) : readme.index(".", start)]
+    assert set(re.findall(r"`(\w+)`", listed)) == _pipeline_keys()
 
 
 def test_pipeline_frame_does_no_repeated_work(tmp_path, drawn, monkeypatch):
@@ -428,7 +459,7 @@ def test_pipeline_sizes_the_face_before_voxelling(tmp_path):
     )
     scene_seed, gt, corner, _, _ = draw_trial(config, 31)
     _write_scene(tmp_path, scene_spec_for(config, scene_seed, gt, corner))
-    result = run_pipeline(str(tmp_path), PipelineConfig(use_sor=False))
+    result = run_pipeline(str(tmp_path), PipelineConfig())
     # criterion 06's envelope
     assert symmetric_rot_err_deg(result.pose.r, gt.r) <= 3.3
     assert np.linalg.norm(result.pose.t - gt.t) * 1000.0 <= 5.3
@@ -492,7 +523,7 @@ def test_front_end_ignores_a_same_coloured_speck(size):
     config = BenchConfig(master_seed=7)
     scene_seed, gt, corner, _, _ = draw_trial(config, 0)
     rgb, depth, _, _, _ = render_scene(scene_spec_for(config, scene_seed, gt, corner))
-    front_end = PipelineConfig(use_sor=False)
+    front_end = PipelineConfig()
     clean = _segment(rgb, depth, config.intrinsics, front_end)
     specked = rgb.copy()
     specked[20 : 20 + size, 20 : 20 + size] = (200, 40, 40)
@@ -644,7 +675,7 @@ def test_pipeline_rejects_axis_points_on_the_long_edges(tmp_path, drawn, monkeyp
 
 @pytest.mark.parametrize("trial", range(4))
 def test_default_pipeline_needs_no_search(tmp_path, search_calls, trial):
-    """The CLI's default settings (SOR on) on the default synthetic scenes of
+    """The CLI's default settings on the default synthetic scenes of
     `cuboidpose synth --seed 7`: the plane pose passes its check, so the 4-point
     search, which took up to tens of seconds a frame here, never runs."""
     config = BenchConfig(master_seed=7)
@@ -654,6 +685,25 @@ def test_default_pipeline_needs_no_search(tmp_path, search_calls, trial):
     assert search_calls == []
     assert result.searched is False
     assert _in_envelope(result.pose, gt)
+
+
+def test_default_segment_is_the_voxelled_component(tmp_path):
+    """The default front end filters the face by voxelling alone: the segment
+    is the 5 mm voxel cloud of the deprojected mask component, every voxel
+    kept."""
+    config = BenchConfig(master_seed=7)
+    scene_seed, gt, corner, _, _ = draw_trial(config, 0)
+    _write_scene(tmp_path, scene_spec_for(config, scene_seed, gt, corner))
+    pipeline = PipelineConfig()
+    result = run_pipeline(str(tmp_path), pipeline)
+    rgb = load_ppm(tmp_path / "rgb.ppm")
+    depth = load_pgm16(tmp_path / "depth.pgm")
+    intr = load_intrinsics(tmp_path / "intrinsics.txt")
+    mask = segmentation.largest_component(
+        segmentation.hsv_threshold(rgb, pipeline.hsv), pipeline.min_mask_pixels
+    )
+    cloud = camera.deproject_mask(intr, depth, mask)
+    assert result.segment_size == len(voxel_downsample(cloud, 0.005))
 
 
 def test_pipeline_missing_files(tmp_path):

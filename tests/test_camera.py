@@ -250,3 +250,5 @@ def test_deproject_size_mismatch(intr640, shape):
 def test_intrinsics_validation():
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=0.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+    with pytest.raises(ValueError):
+        CameraIntrinsics(fx=600.0, fy=np.nan, cx=320.0, cy=240.0, width=640, height=480)

@@ -105,10 +105,28 @@ def test_bench_bad_config_value(tmp_path):
     assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
 
 
-def test_bench_invalid_trial_count(tmp_path):
+@pytest.mark.parametrize(
+    "kv",
+    [
+        "trials=0",
+        # the camera, which every trial renders with
+        "fx=0",
+        "img_width=0",
+        "cx=5000",
+        # NaN passes a `< 0` check
+        "noise_sigma_mm=nan",
+        "distance_m=nan",
+        "tilt_deg=nan",
+        "inj_yaw_deg=nan",
+        "background_depth_m=-1",
+    ],
+)
+def test_bench_rejects_bad_config(tmp_path, kv):
+    """A value no trial can run with is a config error before any trial."""
     conf = tmp_path / "bench.conf"
-    conf.write_text("trials=0\n")
+    conf.write_text(f"trials=2\nwarmup=0\n{kv}\n")
     assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_subcommand_exits_with_usage_error():

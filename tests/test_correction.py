@@ -55,6 +55,8 @@ def test_reference_grid_pitch_limits():
         make_reference_face(FACE, 0.0)
     with pytest.raises(InvalidSpec):
         make_reference_face(FACE, 0.06)  # coarser than a quarter of the short side
+    with pytest.raises(InvalidSpec):
+        make_reference_face(FACE, float("nan"))
 
 
 def test_reference_axis_points_identity():

@@ -211,6 +211,8 @@ def test_voxel_grouping_at_the_cap(monkeypatch, span, n, sorted_path):
 def test_voxel_bad_leaf():
     with pytest.raises(ValueError):
         voxel_downsample(PointCloud(np.zeros((1, 3))), 0.0)
+    with pytest.raises(ValueError):
+        voxel_downsample(PointCloud(np.zeros((1, 3))), float("nan"))
 
 
 # ---------------------------------------------------------------- outliers
