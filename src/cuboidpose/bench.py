@@ -290,8 +290,7 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
             coarse = coarse_register(ref.cloud, face.segment, params)
             start, score = coarse.pose, coarse.score
     with _stage("correct_pose"):
-        normal = np.array(start.r[:, 2])
-        final, report = correct_pose(start, ref, face.t1, face.t2, normal)
+        final, report = correct_pose(start, ref, face.t1, face.t2)
         final = _canonical_orientation(final, face.t1, face.t2)
     return PipelineResult(final, report, score, len(face.segment), face.quad, searched)
 
@@ -343,7 +342,6 @@ class BenchConfig:
     warmup: int = 3
     icp_max_iter: int = 60
     reg_eps_m: float = RegistrationParams.eps
-    reg_inlier_dist_m: float = RegistrationParams.inlier_dist
     reg_min_score: float = RegistrationParams.min_score
     intrinsics: CameraIntrinsics = field(init=False)  # the rendering camera
     pipeline: PipelineConfig = field(init=False)  # the trial front end
@@ -381,7 +379,6 @@ class BenchConfig:
             voxel_leaf_m=self.voxel_leaf_m,
             pitch_m=self.pitch_m,
             reg_eps_m=self.reg_eps_m,
-            reg_inlier_dist_m=self.reg_inlier_dist_m,
             reg_min_score=self.reg_min_score,
         )
 
@@ -497,8 +494,7 @@ def run_trial(config: BenchConfig, ref: ReferenceFace, trial: int) -> TrialRecor
     start = inject_pose_error(base, inj_yaw, inj_dt)
 
     icp = icp_refine(ref.cloud, face.segment, start, max_iter=config.icp_max_iter)
-    normal = np.array(start.r[:, 2])
-    final, report = correct_pose(start, ref, face.t1, face.t2, normal)
+    final, report = correct_pose(start, ref, face.t1, face.t2)
 
     def rot_err(pose: Pose) -> float:
         return math.degrees(rotation_angle(pose.r @ gt.r.T))

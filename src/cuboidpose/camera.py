@@ -1,12 +1,13 @@
 """Pinhole camera model: projection, inverse projection, depth image handling.
 
 Depth images give meters as float64 with 0 marking invalid pixels; they are
-quantized to whole millimeters when written to disk. Two depth images defer
-their meters (`_DeferredDepth`) and build only what is read: the box
-`deproject_mask` reads through `DepthImage.block`, or the full frame on the
-first read of `data`. An image loaded from disk (`io.load_pgm16`) holds the
-file's millimeters and converts them; a rendered one (`synth.render_scene`)
-holds the face's box of noiseless depth and draws the noise and quantizes.
+quantized to whole millimeters when written to disk. Loaded and rendered
+depth images defer their meters (`_DeferredDepth`): each holds one function
+`meters(box)`, and builds only what is read, the box `deproject_mask` reads
+through `DepthImage.block` or, on the first read of `data`, the box over the
+whole image. For an image loaded from disk (`io.load_pgm16`) that function
+converts the file's millimeters; for a rendered one (`synth.render_scene`)
+it pastes the face's box of noiseless depth, draws the noise and quantizes.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class DepthImage:
 
     Values must be finite and non-negative, checked with one min and one max
     reduction: NaN propagates through the min, and an infinite value makes
-    the max infinite. `io.load_pgm16` and `synth.render_scene` return
-    subclasses (`_DeferredDepth`) that build `data` on its first read.
+    the max infinite. `io.load_pgm16` and `synth.render_scene` return a
+    `_DeferredDepth`, which builds `data` on its first read.
     """
 
     data: np.ndarray
@@ -75,21 +76,24 @@ class DepthImage:
 
 
 class _DeferredDepth(DepthImage):
-    """A depth image that builds float64 meters only where they are read:
-    `block` builds its box, and the first read of `data` builds the full frame
-    and keeps it. After that `block` slices `data`, so writes to it reach
-    later reads. A subclass supplies `_block(box)` and `_frame()`, whose
-    values must be the same bits; `_frame` drops what `_block` reads. Width
-    and height come from the stored shape, so reading them builds nothing,
-    and no `DepthImage` check runs: the subclass's conversion must give
-    finite, non-negative meters."""
+    """A depth image that builds float64 meters only where they are read.
+    `meters(box)` gives the meters of a (rows, cols) box of unit-step slices;
+    `block` calls it, and the first read of `data` calls it on the whole image
+    and keeps the frame, after which `meters` is dropped. So every box agrees
+    with the frame by construction. A built frame, or a box with a step other
+    than 1, is read by slicing `data`, so writes to the frame reach later
+    reads. Width and height come from the stored shape, so reading them builds
+    nothing, and no `DepthImage` check runs: `meters` must give finite,
+    non-negative values."""
 
-    def __init__(self, shape: tuple[int, int]):
-        self._shape = shape
+    def __init__(self, shape: tuple[int, int], meters):
+        self._shape, self._meters = shape, meters
 
     @cached_property
     def data(self) -> np.ndarray:
-        return self._frame()
+        frame = self._meters((slice(0, self._shape[0]), slice(0, self._shape[1])))
+        self._meters = None
+        return frame
 
     @property
     def width(self) -> int:
@@ -100,9 +104,10 @@ class _DeferredDepth(DepthImage):
         return self._shape[0]
 
     def block(self, box: tuple[slice, slice]) -> np.ndarray:
-        if "data" in self.__dict__:  # built already, and perhaps written to
+        # a built frame may have been written to
+        if "data" in self.__dict__ or any(s.step not in (None, 1) for s in box):
             return self.data[box]
-        return self._block(box)
+        return self._meters(box)
 
 
 @dataclass

@@ -161,19 +161,19 @@ def correct_pose(
     ref: ReferenceFace,
     target_a: np.ndarray,
     target_b: np.ndarray,
-    face_normal: np.ndarray,
 ) -> tuple[Pose, CorrectionReport]:
     """Two-step pose correction: yaw about the face normal, then translation.
 
-    The yaw fix is composed on the local z axis (the grid's normal), after
-    which the translation offset is converted into the corrected local frame
+    The yaw is measured about the pose's local z axis (the grid's normal) and
+    composed on that axis, after which the translation offset is converted
+    into the corrected local frame
     and composed as well, yielding a single final pose. The reference cloud is
     re-transformed with that pose, which is the linear-time portion reported
     in `t_correct`.
     """
     t0 = time.perf_counter()
     ref_a, ref_b = reference_axis_points(ref, pose)
-    yaw = estimate_yaw_error(target_a, target_b, ref_a, ref_b, face_normal)
+    yaw = estimate_yaw_error(target_a, target_b, ref_a, ref_b, pose.r[:, 2])
     pose_rot = pose.compose(Pose(rotation_z(yaw), np.zeros(3)))
     dt_cam = estimate_translation_error(target_a, target_b, ref, pose_rot)
     t_estimate = time.perf_counter() - t0

@@ -59,27 +59,6 @@ def save_pgm16(path, depth: DepthImage) -> None:
         f.write(mm.astype(">u2").tobytes())
 
 
-class _MillimeterDepth(_DeferredDepth):
-    """A depth image that holds a file's big-endian uint16 millimeters and
-    converts to float64 meters only what is read. The box and the full frame
-    both divide the float64 millimeters by 1000, so every value is
-    bit-identical to converting the whole frame at load; a uint16 divided by
-    1000 is always finite and non-negative."""
-
-    def __init__(self, mm: np.ndarray):
-        super().__init__(mm.shape)
-        self._mm = mm
-
-    def _block(self, box: tuple[slice, slice]) -> np.ndarray:
-        return self._mm[box].astype(np.float64) / 1000.0
-
-    def _frame(self) -> np.ndarray:
-        meters = self._mm.astype(np.float64)
-        meters /= 1000.0
-        self._mm = None
-        return meters
-
-
 def _read_writable(path) -> bytearray:
     """The file's bytes in a mutable buffer, so arrays over it are writable."""
     with open(path, "rb") as f:
@@ -92,10 +71,12 @@ def _read_writable(path) -> bytearray:
 def load_pgm16(path) -> DepthImage:
     """Depth from a 16-bit big-endian PGM of whole millimeters.
 
-    The image holds the file's millimeters; it converts to meters the box
-    `deproject_mask` reads, and the full frame only when `data` is first
-    read (`_MillimeterDepth`). A bad magic, a maxval other than 65535 or
-    truncated pixel data raises ParseError here, at load.
+    The image (`_DeferredDepth`) holds the file's big-endian millimeters and
+    converts only the box that is read, dividing its millimeters by 1000 in
+    float64: the box `deproject_mask` reads, or the full frame when `data` is
+    first read. A uint16 divided by 1000 is always finite and non-negative.
+    A bad magic, a maxval other than 65535 or truncated pixel data raises
+    ParseError here, at load.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -103,7 +84,8 @@ def load_pgm16(path) -> DepthImage:
     if maxval != 65535:
         raise ParseError(f"{path}: expected 16-bit depth, maxval {maxval}")
     raw = _pixels(data, pos, ">u2", w * h, path)
-    return _MillimeterDepth(raw.reshape(h, w))
+    mm = raw.reshape(h, w)
+    return _DeferredDepth((h, w), lambda box: mm[box] / 1000.0)
 
 
 def save_pgm8(path, mask: MaskImage) -> None:

@@ -42,6 +42,9 @@ from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize, rotation_z
 _MAX_MATCH_ROWS = 50000
 
 # the coarse search's fixed settings
+_MAX_ATTEMPTS = 200  # base attempts before giving up
+_EARLY_EXIT_SCORE = 0.9  # a candidate scoring this ends the search
+_MAX_CANDIDATES = 64  # congruent sets scored per base
 _BASE_SPAN_FRAC = 0.6  # minimum base width, fraction of source diagonal
 _COPLANAR_EPS = 0.004  # how far apart a base's two lines may pass, meters (x2)
 _ANGLE_TOL_DEG = 7.0  # crossing-angle tolerance of a congruent set
@@ -71,10 +74,7 @@ class RegistrationParams:
 
     eps: float = 0.004               # pair distance tolerance, meters
     inlier_dist: float = 0.008      # LCP inlier radius, meters
-    max_iterations: int = 200       # base attempts before giving up
-    early_exit_score: float = 0.9
     min_score: float = 0.3
-    max_candidates: int = 64        # congruent sets scored per base
     seed: int = 0
 
 
@@ -238,7 +238,7 @@ def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg, params):
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
     badness = e_dist / params.eps + ang_err / _ANGLE_TOL_DEG
-    order = np.argsort(badness, kind="stable")[: params.max_candidates]
+    order = np.argsort(badness, kind="stable")[:_MAX_CANDIDATES]
     a, b = i1[order], i2[order]
     return np.column_stack((s1[a], e1[a], s2[b], e2[b]))
 
@@ -402,7 +402,7 @@ def coarse_register(
     best_hits = -1
     best_score = -1.0
     best_pose: Pose | None = None
-    for attempt in range(params.max_iterations):
+    for attempt in range(_MAX_ATTEMPTS):
         base = _sample_base(src, diag, rng, attempt)
         if base is None:
             continue
@@ -443,9 +443,9 @@ def coarse_register(
                 best_hits = hits
                 best_score = hits / len(lcp.sample)
                 best_pose = pose
-            if best_score >= params.early_exit_score:
+            if best_score >= _EARLY_EXIT_SCORE:
                 break
-        if best_score >= params.early_exit_score:
+        if best_score >= _EARLY_EXIT_SCORE:
             break
     if best_pose is None or best_score < params.min_score:
         raise RegistrationFailed(

@@ -8,9 +8,11 @@ quantized to whole millimeters exactly as a 16-bit sensor would report it.
 Only the face is ray cast, over its pixel box; the nearest background plane
 is one depth and one colour for the whole frame. The RGB image is painted one
 channel at a time, so no step broadcasts, masks or gathers over the 3-wide
-colour axis. The depth image holds the face's box of noiseless depth and
-builds meters only where read (`_RenderedDepth`): `deproject_mask` reads the
-mask's box, and the frame is built only when `data` is first read. The
+colour axis. The depth image (`camera._DeferredDepth`) holds the
+`meters(box)` that `_rendered_meters` makes from the face's box of noiseless
+depth, and builds meters only where read: `deproject_mask` reads the mask's
+box, and the frame is the box over the whole image, built only when `data`
+is first read. The
 seeded noise stream is still drawn row-major through the last row read, since
 its normals take a varying number of raw draws. So a 1280x720 bench render
 peaks about 4 MB above the 3.7 MB of RGB and mask it returns. Its
@@ -191,11 +193,11 @@ def _quantize(rows: np.ndarray) -> None:
     rows /= 1000.0
 
 
-class _RenderedDepth(_DeferredDepth):
-    """The rendered depth image. It holds the nearest background plane's
-    depth `far` (0.0 without a plane), the face's `box` of noiseless depth
-    (`face`: the face z-buffered against `far`, dropout holes cut) and the
-    spec's noise seed and sigma.
+def _rendered_meters(shape, far: float, face_box, face: np.ndarray, seed, sigma: float):
+    """`meters(box)` of the rendered depth image (`camera._DeferredDepth`),
+    from the nearest background plane's depth `far` (0.0 without a plane), the
+    face's `face_box` of noiseless depth (`face`: the face z-buffered against
+    `far`, dropout holes cut) and the spec's noise seed and sigma.
 
     A box is built from `far` with the face box pasted where they overlap.
     The noise generator fills row-major, so the stream is drawn in blocks of
@@ -204,36 +206,26 @@ class _RenderedDepth(_DeferredDepth):
     each block is scaled and added, where the depth is positive (depth is
     never negative before the noise, so this matches np.where(depth > 0,
     depth + noise, 0.0) bit for bit), and only the box is quantized. Each
-    element gets the arithmetic a full-frame pass gives it, so every box is
-    bit-identical to that frame's. The full frame is the box over the whole
-    image, after which the face box is dropped. `_validate` rejects a NaN
-    plane depth or noise sigma, so the values are finite and non-negative.
+    element gets the arithmetic a full-frame pass gives it. `_validate`
+    rejects a NaN plane depth or noise sigma, so the values are finite and
+    non-negative.
     """
+    face_rows, face_cols = face_box
 
-    def __init__(self, shape, far: float, box, face: np.ndarray, seed, sigma: float):
-        super().__init__(shape)
-        self._far, self._box, self._face = far, box, face
-        self._seed, self._sigma = seed, sigma
-
-    def _block(self, box: tuple[slice, slice]) -> np.ndarray:
-        (r0, r1, r_step), (c0, c1, c_step) = (
-            s.indices(n) for s, n in zip(box, self._shape)
-        )
-        if r_step != 1 or c_step != 1:
-            return self.data[box]
+    def meters(box: tuple[slice, slice]) -> np.ndarray:
+        (r0, r1, _), (c0, c1, _) = (s.indices(n) for s, n in zip(box, shape))
         r1, c1 = max(r0, r1), max(c0, c1)
-        out = np.full((r1 - r0, c1 - c0), self._far)
-        face_rows, face_cols = self._box
+        out = np.full((r1 - r0, c1 - c0), far)
         lo_r, hi_r = max(r0, face_rows.start), min(r1, face_rows.stop)
         lo_c, hi_c = max(c0, face_cols.start), min(c1, face_cols.stop)
         if lo_r < hi_r and lo_c < hi_c:
-            out[lo_r - r0 : hi_r - r0, lo_c - c0 : hi_c - c0] = self._face[
+            out[lo_r - r0 : hi_r - r0, lo_c - c0 : hi_c - c0] = face[
                 lo_r - face_rows.start : hi_r - face_rows.start,
                 lo_c - face_cols.start : hi_c - face_cols.start,
             ]
-        if self._sigma > 0:
-            rng = np.random.default_rng(self._seed)
-            noise = np.empty((min(_BLOCK_ROWS, r1), self._shape[1]))
+        if sigma > 0:
+            rng = np.random.default_rng(seed)
+            noise = np.empty((min(_BLOCK_ROWS, r1), shape[1]))
             for b0 in range(0, r1, _BLOCK_ROWS):
                 b1 = min(b0 + _BLOCK_ROWS, r1)
                 drawn = noise[: b1 - b0]
@@ -241,17 +233,14 @@ class _RenderedDepth(_DeferredDepth):
                 lo = max(b0, r0)
                 if lo < b1:
                     part = drawn[lo - b0 :, c0:c1]
-                    part *= self._sigma
+                    part *= sigma
                     rows = out[lo - r0 : b1 - r0]
                     np.add(rows, part, out=rows, where=rows > 0)
         for b0 in range(0, len(out), _BLOCK_ROWS):
             _quantize(out[b0 : b0 + _BLOCK_ROWS])
         return out
 
-    def _frame(self) -> np.ndarray:
-        frame = self._block((slice(None), slice(None)))
-        self._face = None
-        return frame
+    return meters
 
 
 class _DeferredCloud(PointCloud):
@@ -281,9 +270,10 @@ def render_scene(
     The nearest background plane (the first of the nearest, when several lie
     at one depth) fills the frame with one depth and colour, or the void
     colour shows when there is none; the face is z-buffered over it in its
-    pixel box. The depth image keeps no full frame: it adds the noise and
-    quantizes only the box that is read (`_RenderedDepth`), and builds the
-    frame when `data` is first read. Only the benchmark tracer (the cloud's
+    pixel box. The depth image keeps no full frame: its `meters(box)`
+    (`_rendered_meters`) adds the noise and quantizes only the box that is
+    read, and the frame is that box over the whole image, built when `data`
+    is first read. Only the benchmark tracer (the cloud's
     length) and the tests read the cloud or `data`; no pipeline stage does.
 
     Raises FaceOutOfView when less than half of the face projects into frame.
@@ -332,7 +322,8 @@ def render_scene(
             f"only {face_px} of ~{analytic_area:.0f} face pixels in frame"
         )
 
-    depth_img = _RenderedDepth((h, w), far, box, face, spec.seed, spec.noise_sigma)
+    meters = _rendered_meters((h, w), far, box, face, spec.seed, spec.noise_sigma)
+    depth_img = _DeferredDepth((h, w), meters)
     gt = GroundTruth(pose=pose, face_mask=mask_img)
     return rgb, depth_img, mask_img, _DeferredCloud(intr, depth_img), gt
 

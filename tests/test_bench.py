@@ -105,13 +105,20 @@ def test_run_trial_never_builds_the_rendered_frame(monkeypatch):
     """A trial reads the rendered depth only through the face's box, so it
     never builds the depth's full frame of float64 meters."""
     built = []
-    real_frame = synth._RenderedDepth._frame
+    real_meters = synth._rendered_meters
 
-    def counted_frame(self):
-        built.append(self)
-        return real_frame(self)
+    def counted_meters(shape, *args):
+        meters = real_meters(shape, *args)
 
-    monkeypatch.setattr(synth._RenderedDepth, "_frame", counted_frame)
+        def counted(box):
+            out = meters(box)
+            if out.shape == shape:
+                built.append(box)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(synth, "_rendered_meters", counted_meters)
     for trials in (PLAIN_TRIALS, DENSE_DROPOUT_TRIALS):
         config = BenchConfig(**trials)
         ref = make_reference_face(config.cuboid, config.pitch_m)
@@ -122,7 +129,7 @@ def test_run_trial_never_builds_the_rendered_frame(monkeypatch):
     scene_seed, gt, corner, _, _ = draw_trial(config, 0)
     _, depth, _, _, _ = render_scene(scene_spec_for(config, scene_seed, gt, corner))
     assert depth.data.shape == (config.intrinsics.height, config.intrinsics.width)
-    assert built == [depth]
+    assert len(built) == 1
 
 
 def test_run_trial_from_coarse_pose():
@@ -333,13 +340,25 @@ def test_use_sor_accepts_only_0():
     assert PipelineConfig(use_sor=False) == PipelineConfig()
 
 
+def _readme_keys(heading):
+    """The backticked names between `heading`'s "):" and the next full stop."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index(heading)
+    listed = readme[readme.index("):", start) : readme.index(".", start)]
+    return set(re.findall(r"`(\w+)`", listed))
+
+
 def test_readme_lists_the_pipeline_keys():
     """README's `pipeline` key list names exactly the keys `from_kv` takes,
     so a removed key cannot stay documented."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    start = readme.index("`pipeline` config keys")
-    listed = readme[readme.index("):", start) : readme.index(".", start)]
-    assert set(re.findall(r"`(\w+)`", listed)) == _pipeline_keys()
+    assert _readme_keys("`pipeline` config keys") == _pipeline_keys()
+
+
+def test_readme_lists_the_bench_keys():
+    """README's `bench`/`synth` key list names exactly `BenchConfig`'s init
+    fields, the keys its `from_kv` takes."""
+    keys = {f.name for f in fields(BenchConfig) if f.init}
+    assert _readme_keys("`bench`/`synth` config keys") == keys
 
 
 def test_pipeline_frame_does_no_repeated_work(tmp_path, drawn, monkeypatch):
@@ -600,8 +619,7 @@ def test_pipeline_searches_when_the_plane_check_fails(
     face = _segment(rgb, depth, intr, config)
     ref = make_reference_face(config.cuboid, config.pitch_m)
     coarse = coarse_register(ref.cloud, face.segment, config.registration)
-    normal = np.array(coarse.pose.r[:, 2])
-    want, report = correct_pose(coarse.pose, ref, face.t1, face.t2, normal)
+    want, report = correct_pose(coarse.pose, ref, face.t1, face.t2)
     want = _canonical_orientation(want, face.t1, face.t2)
     assert result.pose.matrix.tobytes() == want.matrix.tobytes()
     assert result.coarse_score == coarse.score

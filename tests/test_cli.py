@@ -119,6 +119,8 @@ def test_bench_bad_config_value(tmp_path):
         "tilt_deg=nan",
         "inj_yaw_deg=nan",
         "background_depth_m=-1",
+        # a removed key: a trial never read the score it set
+        "reg_inlier_dist_m=0.01",
     ],
 )
 def test_bench_rejects_bad_config(tmp_path, kv):

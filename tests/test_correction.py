@@ -157,7 +157,7 @@ def test_correct_pose_noop_when_exact():
     pose = tilted_pose()
     ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(pose)
-    fixed, report = correct_pose(pose, ref, t1, t2, pose.r[:, 2])
+    fixed, report = correct_pose(pose, ref, t1, t2)
     assert_allclose(fixed.r, pose.r, atol=1e-9)
     assert_allclose(fixed.t, pose.t, atol=1e-9)
     assert abs(report.yaw_error_deg) < 1e-9
@@ -168,7 +168,7 @@ def test_correct_pose_closed_loop():
     start = inject_pose_error(gt, 2.47, np.array([0.8, 3.1, -0.2]) / 1000.0)
     ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(gt)
-    fixed, report = correct_pose(start, ref, t1, t2, start.r[:, 2])
+    fixed, report = correct_pose(start, ref, t1, t2)
     rot_err = np.degrees(rotation_angle(fixed.r @ gt.r.T))
     trans_err = np.linalg.norm(fixed.t - gt.t) * 1000.0
     assert rot_err <= 0.23
@@ -190,7 +190,7 @@ def test_correct_pose_random_injections():
         dt = rng.uniform(-0.01, 0.01, 3)
         start = inject_pose_error(gt, yaw, dt)
         t1, t2 = axis_targets(gt)
-        fixed, _ = correct_pose(start, ref, t1, t2, start.r[:, 2])
+        fixed, _ = correct_pose(start, ref, t1, t2)
         assert np.degrees(rotation_angle(fixed.r @ gt.r.T)) < 1e-3
         assert np.linalg.norm(fixed.t - gt.t) * 1000.0 < 1e-3
 
@@ -200,7 +200,7 @@ def test_corrected_center_sits_on_measured_midpoint():
     start = inject_pose_error(gt, 3.0, np.array([0.004, -0.002, 0.007]))
     ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(gt)
-    fixed, _ = correct_pose(start, ref, t1, t2, start.r[:, 2])
+    fixed, _ = correct_pose(start, ref, t1, t2)
     assert_allclose(fixed.transform(np.zeros(3)), (t1 + t2) / 2.0, atol=1e-9)
 
 
@@ -209,7 +209,7 @@ def test_corrected_x_axis_parallel_to_segment():
     start = inject_pose_error(gt, -4.0, np.array([0.002, 0.006, -0.003]))
     ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(gt)
-    fixed, _ = correct_pose(start, ref, t1, t2, start.r[:, 2])
+    fixed, _ = correct_pose(start, ref, t1, t2)
     d = (t2 - t1) / np.linalg.norm(t2 - t1)
     cross = np.linalg.norm(np.cross(fixed.r[:, 0], d))
     assert cross < 1e-6  # parallel up to the 180 degree fold
@@ -220,8 +220,8 @@ def test_correct_pose_idempotent():
     start = inject_pose_error(gt, 2.0, np.array([0.003, 0.001, -0.002]))
     ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(gt)
-    once, _ = correct_pose(start, ref, t1, t2, start.r[:, 2])
-    twice, report = correct_pose(once, ref, t1, t2, once.r[:, 2])
+    once, _ = correct_pose(start, ref, t1, t2)
+    twice, report = correct_pose(once, ref, t1, t2)
     assert_allclose(twice.r, once.r, atol=1e-9)
     assert_allclose(twice.t, once.t, atol=1e-9)
     assert abs(report.yaw_error_deg) < 1e-9
@@ -237,7 +237,7 @@ def test_estimation_time_independent_of_grid_size():
         ref = make_reference_face(FACE, pitch)
         times = []
         for _ in range(9):
-            _, report = correct_pose(gt, ref, t1, t2, gt.r[:, 2])
+            _, report = correct_pose(gt, ref, t1, t2)
             times.append(report.t_estimate)
         medians.append(np.median(times))
     ratio = max(medians) / min(medians)

@@ -158,7 +158,7 @@ def _candidates_by_rows(
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
     badness = e_dist / params.eps + ang_err / angle_tol_deg
-    order = np.argsort(badness, kind="stable")[: params.max_candidates]
+    order = np.argsort(badness, kind="stable")[: registration._MAX_CANDIDATES]
     return [
         (int(s1[a]), int(e1[a]), int(s2[b]), int(e2[b]))
         for a, b in zip(i1[order], i2[order])
@@ -181,13 +181,14 @@ def _crossed_segments(rng, m1, m2, eps):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_congruent_candidates_match_row_loop(seed):
+def test_congruent_candidates_match_row_loop(seed, monkeypatch):
     """The vectorised match equals the row loop, including which midpoint
     group is the last one taken when the matches cross the 50 000-row cut.
-    Every match passes the angle test and max_candidates keeps all of them,
-    so one group more or less changes the result."""
+    Every match passes the angle test and `_MAX_CANDIDATES` is raised to
+    keep all of them, so one group more or less changes the result."""
     rng = np.random.default_rng(seed)
-    params = RegistrationParams(max_candidates=10**6)
+    monkeypatch.setattr(registration, "_MAX_CANDIDATES", 10**6)
+    params = RegistrationParams()
     pts, pairs1, pairs2 = _crossed_segments(rng, 400, 160, params.eps)
     args = (pts, pairs1, pairs2, 0.5, 0.5, 90.0, params)
     want = _candidates_by_rows(*args)
@@ -688,7 +689,9 @@ def test_coarse_register_early_rejection_is_exact(rendered_target, monkeypatch):
     is rejected early, gives the same pose and score bits."""
     target, _, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    params = RegistrationParams(seed=scene_seed, early_exit_score=1.1, max_iterations=40)
+    params = RegistrationParams(seed=scene_seed)
+    monkeypatch.setattr(registration, "_EARLY_EXIT_SCORE", 1.1)
+    monkeypatch.setattr(registration, "_MAX_ATTEMPTS", 40)
     chunked = coarse_register(ref.cloud, target, params)
     monkeypatch.setattr(registration, "_LCP_STRIDE", 1)
     whole = coarse_register(ref.cloud, target, params)

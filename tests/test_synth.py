@@ -17,7 +17,13 @@ from cuboidpose import (
 )
 from cuboidpose import synth
 from cuboidpose.bench import BenchConfig, draw_trial, scene_spec_for
-from cuboidpose.camera import DepthImage, MaskImage, back_project, deproject_mask
+from cuboidpose.camera import (
+    DepthImage,
+    MaskImage,
+    back_project,
+    deproject_mask,
+    pixel_box,
+)
 from cuboidpose.errors import FaceOutOfView, InvalidSpec
 from cuboidpose.geometry import PointCloud, rotation_angle, rotation_about
 from cuboidpose.synth import (
@@ -149,7 +155,7 @@ def test_inject_then_correct_closes_the_loop():
     ref = make_reference_face(FACE, 0.01)
     t1 = gt.transform([-0.15, 0.0, 0.0])
     t2 = gt.transform([0.15, 0.0, 0.0])
-    fixed, _ = correct_pose(start, ref, t1, t2, start.r[:, 2])
+    fixed, _ = correct_pose(start, ref, t1, t2)
     # the angle metric itself bottoms out near sqrt(eps) radians
     assert np.degrees(rotation_angle(fixed.r @ gt.r.T)) < 1e-4
     assert np.linalg.norm(fixed.t - gt.t) < 1e-9
@@ -575,7 +581,7 @@ def test_rendered_depth_blocks_match_oracle(data):
     assert rgb.tobytes() == o_rgb.tobytes()
     assert mask.data.tobytes() == o_mask.data.tobytes()
     h, w = o_depth.data.shape
-    boxes = _boxes(data.draw, h, w, depth._box)
+    boxes = _boxes(data.draw, h, w, pixel_box(o_mask.data))
     _assert_blocks(depth, o_depth.data, boxes)
     assert "data" not in depth.__dict__
     # a strided box reads the full frame
