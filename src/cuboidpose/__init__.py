@@ -52,7 +52,6 @@ from .geometry import (
     signed_angle_in_plane,
 )
 from .registration import (
-    RegistrationParams,
     RegistrationResult,
     coarse_register,
     icp_refine,
@@ -101,7 +100,6 @@ __all__ = [
     "Pose",
     "Quadrilateral2D",
     "ReferenceFace",
-    "RegistrationParams",
     "RegistrationResult",
     "RoiSpec",
     "SceneSpec",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +37,9 @@ from .geometry import (
 )
 from .io import load_intrinsics, load_pgm16, load_ppm
 from .registration import (
+    INLIER_DIST,
     MIN_POINTS,
-    RegistrationParams,
+    MIN_SCORE,
     coarse_register,
     icp_refine,
     lcp_score,
@@ -64,12 +65,21 @@ _DEFAULT_HSV = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_h
 
 _DEFAULT_CUBOID = CuboidSpec(0.30, 0.20, 0.05)
 
-_CASTS = {"int": int, "float": float, "str": str, "bool": lambda raw: bool(int(raw))}
+
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+_CASTS = {"int": int, "float": _finite, "str": str, "bool": lambda raw: bool(int(raw))}
 
 
 def _from_kv(cls, kv: dict[str, str], what: str, **given):
     """Build a config dataclass from string pairs, each cast to the type of
-    the field it names; unknown keys and uncastable values are ParseErrors."""
+    the field it names; unknown keys and uncastable values, a float that is
+    not finite among them, are ParseErrors."""
     types = {f.name: f.type for f in fields(cls) if f.init and f.type in _CASTS}
     kwargs = {}
     for key, raw in kv.items():
@@ -90,7 +100,8 @@ class PipelineConfig:
     key=value spelling, and the `face_*_m` keys set `cuboid`. `use_sor`
     accepts only 0: statistical outlier removal is no longer a pipeline
     stage, and the field stays so that configs which turn it off still
-    load."""
+    load. `reg_seed` seeds the 4-point search, whose tolerances are the
+    `registration` module's constants."""
 
     cuboid: CuboidSpec = _DEFAULT_CUBOID
     hsv_h_lo: float = _DEFAULT_HSV.h_lo
@@ -104,27 +115,22 @@ class PipelineConfig:
     use_sor: bool = False
     roi_tolerance: float = 0.15
     pitch_m: float = 0.006
-    reg_eps_m: float = RegistrationParams.eps
-    reg_inlier_dist_m: float = RegistrationParams.inlier_dist
-    reg_min_score: float = RegistrationParams.min_score
-    reg_seed: int = RegistrationParams.seed
+    reg_seed: int = 0
     hsv: HsvRange = field(init=False)
     roi: RoiSpec = field(init=False)
-    registration: RegistrationParams = field(init=False)
     # the reference grid at `pitch_m`, built once here; its points are read-only
     reference: ReferenceFace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("voxel_leaf_m", "reg_eps_m", "reg_inlier_dist_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.voxel_leaf_m > 0:
+            raise ValueError("voxel_leaf_m must be positive")
+        if self.reg_seed < 0:
+            raise ValueError("reg_seed must be >= 0")
         if self.use_sor:
             raise ValueError(
                 "use_sor must be 0: statistical outlier removal is no longer "
                 "a pipeline stage"
             )
-        if not 0.0 <= self.reg_min_score <= 1.0:
-            raise ValueError("reg_min_score must lie in [0, 1]")
         self.hsv = HsvRange(
             self.hsv_h_lo,
             self.hsv_h_hi,
@@ -135,12 +141,6 @@ class PipelineConfig:
         )
         c = self.cuboid
         self.roi = RoiSpec(c.width, c.height, c.depth, self.roi_tolerance)
-        self.registration = RegistrationParams(
-            eps=self.reg_eps_m,
-            inlier_dist=self.reg_inlier_dist_m,
-            min_score=self.reg_min_score,
-            seed=self.reg_seed,
-        )
         try:
             self.reference = make_reference_face(c, self.pitch_m)
         except InvalidSpec as exc:
@@ -162,10 +162,10 @@ class PipelineConfig:
 class PipelineResult:
     """A corrected pose and how it was reached.
 
-    `coarse_score` is the LCP score (`registration.lcp_score` at the
-    registration's `inlier_dist`) of the start pose the correction used: the
+    `coarse_score` is the LCP score (`registration.lcp_score` at
+    `registration.INLIER_DIST`) of the start pose the correction used: the
     face-plane pose, or the 4-point search's winner when `searched` is true
-    because the plane pose scored below `min_score`.
+    because the plane pose scored below `registration.MIN_SCORE`.
     """
 
     pose: Pose
@@ -271,7 +271,7 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
     The correction keeps only the start pose's face normal, face side and
     90 degree yaw fold, which the plane measures directly. The plane pose is
     scored once with the coarse stage's LCP score; only when that score is
-    below `min_score` does the 4-point search (`coarse_register`) run and
+    below `MIN_SCORE` does the 4-point search (`coarse_register`) run and
     supply the start pose instead. A failed search raises under the
     `coarse_register` stage.
     """
@@ -282,12 +282,11 @@ def run_pipeline(scene_dir: str, config: PipelineConfig) -> PipelineResult:
     face = _segment(rgb, depth, intr, config)
     ref = config.reference
     with _stage("coarse_register"):
-        params = config.registration
         start = _plane_pose(face)
-        score = lcp_score(ref.cloud, face.segment, start, params.inlier_dist)
-        searched = score < params.min_score
+        score = lcp_score(ref.cloud, face.segment, start, INLIER_DIST)
+        searched = score < MIN_SCORE
         if searched:
-            coarse = coarse_register(ref.cloud, face.segment, params)
+            coarse = coarse_register(ref.cloud, face.segment, config.reg_seed)
             start, score = coarse.pose, coarse.score
     with _stage("correct_pose"):
         final, report = correct_pose(start, ref, face.t1, face.t2)
@@ -340,15 +339,14 @@ class BenchConfig:
     background_depth_m: float = 1.5  # zero disables the backdrop
     use_coarse: int = 0
     warmup: int = 3
-    icp_max_iter: int = 60
-    reg_eps_m: float = RegistrationParams.eps
-    reg_min_score: float = RegistrationParams.min_score
     intrinsics: CameraIntrinsics = field(init=False)  # the rendering camera
     pipeline: PipelineConfig = field(init=False)  # the trial front end
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         for name in (
             "inj_yaw_deg",
             "inj_dt_mm",
@@ -378,8 +376,6 @@ class BenchConfig:
             cuboid=self.cuboid,
             voxel_leaf_m=self.voxel_leaf_m,
             pitch_m=self.pitch_m,
-            reg_eps_m=self.reg_eps_m,
-            reg_min_score=self.reg_min_score,
         )
 
     @classmethod
@@ -390,10 +386,6 @@ class BenchConfig:
     @property
     def cuboid(self) -> CuboidSpec:
         return CuboidSpec(self.face_width_m, self.face_height_m, self.face_depth_m)
-
-    @property
-    def registration(self) -> RegistrationParams:
-        return self.pipeline.registration
 
 
 @dataclass
@@ -486,14 +478,13 @@ def run_trial(config: BenchConfig, ref: ReferenceFace, trial: int) -> TrialRecor
 
     if config.use_coarse:
         with _stage("coarse_register"):
-            params = replace(config.registration, seed=scene_seed)
-            coarse = coarse_register(ref.cloud, face.segment, params)
+            coarse = coarse_register(ref.cloud, face.segment, scene_seed)
         base = _canonical_orientation(coarse.pose, face.t1, face.t2)
     else:
         base = gt
     start = inject_pose_error(base, inj_yaw, inj_dt)
 
-    icp = icp_refine(ref.cloud, face.segment, start, max_iter=config.icp_max_iter)
+    icp = icp_refine(ref.cloud, face.segment, start)
     final, report = correct_pose(start, ref, face.t1, face.t2)
 
     def rot_err(pose: Pose) -> float:

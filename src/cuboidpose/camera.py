@@ -33,8 +33,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):

@@ -142,10 +142,7 @@ def estimate_yaw_error(
 
 
 def estimate_translation_error(
-    target_a: np.ndarray,
-    target_b: np.ndarray,
-    ref: ReferenceFace,
-    pose: Pose,
+    target_a: np.ndarray, target_b: np.ndarray, pose: Pose
 ) -> np.ndarray:
     """Camera-frame offset from the posed grid center to the measured segment
     midpoint. Applying it as a translation makes the centers coincide."""
@@ -175,7 +172,7 @@ def correct_pose(
     ref_a, ref_b = reference_axis_points(ref, pose)
     yaw = estimate_yaw_error(target_a, target_b, ref_a, ref_b, pose.r[:, 2])
     pose_rot = pose.compose(Pose(rotation_z(yaw), np.zeros(3)))
-    dt_cam = estimate_translation_error(target_a, target_b, ref, pose_rot)
+    dt_cam = estimate_translation_error(target_a, target_b, pose_rot)
     t_estimate = time.perf_counter() - t0
 
     t1 = time.perf_counter()

@@ -8,11 +8,16 @@ segment lengths. Those pairs are read from one pair-distance table, built once
 per registration on the target's capped search cloud (at most
 `_SEARCH_POINTS` points, so the table's n^2/2 rows stay bounded): each base's
 annulus is a mask over the table's distances. Each candidate yields a rigid
-fit whose quality is scored by the fraction of source points landing within an
-inlier distance of the target (LCP score), on a fixed sample of the source; a
+fit whose quality is scored by the fraction of source points landing within a
+distance of the target (LCP score), on a fixed sample of the source; a
 candidate stops being scored once its misses show it cannot beat the best so
 far. The best-scoring pose wins. `lcp_score` gives any pose that same score,
 which is how the pipeline checks its face-plane start pose.
+
+The search is a fixed method, not a set of knobs: its pair tolerance
+`PAIR_EPS`, its reported score's inlier radius `INLIER_DIST`, the lowest
+score it accepts `MIN_SCORE` and its other limits are module constants, and
+its only input besides the two clouds is the seed of its base sampling.
 
 ICP matches every source point to its nearest target point in each
 iteration. A point moves a fraction of a millimeter per iteration, so
@@ -42,6 +47,9 @@ from .geometry import Obb, PointCloud, Pose, fit_obb, orthonormalize, rotation_z
 _MAX_MATCH_ROWS = 50000
 
 # the coarse search's fixed settings
+PAIR_EPS = 0.004  # pair distance tolerance, meters; also the ranking radius
+INLIER_DIST = 0.008  # LCP inlier radius of the reported score, meters
+MIN_SCORE = 0.3  # lowest LCP score at which a start pose is accepted
 _MAX_ATTEMPTS = 200  # base attempts before giving up
 _EARLY_EXIT_SCORE = 0.9  # a candidate scoring this ends the search
 _MAX_CANDIDATES = 64  # congruent sets scored per base
@@ -66,16 +74,6 @@ _REUSE_MARGIN = 2.0**-40
 # it counts within, far more than the tree's rounding
 _LCP_STRIDE = 4
 _LCP_BOUND_SLACK = 1.0 + 2.0**-20
-
-
-@dataclass
-class RegistrationParams:
-    """Knobs for the coarse 4-point search."""
-
-    eps: float = 0.004               # pair distance tolerance, meters
-    inlier_dist: float = 0.008      # LCP inlier radius, meters
-    min_score: float = 0.3
-    seed: int = 0
 
 
 @dataclass
@@ -205,7 +203,7 @@ def _pair_endpoints(pts, pairs):
     return starts, ends, p, q - p
 
 
-def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg, params):
+def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg):
     """Target 4-point sets whose segments reproduce the base's intersection
     ratios and crossing angle, as a (k, 4) index array, best match first.
 
@@ -217,7 +215,7 @@ def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg, params):
     mid1 = p1 + r1 * d1
     mid2 = p2 + r2 * d2
     tree = cKDTree(mid1)
-    groups = tree.query_ball_point(mid2, params.eps)
+    groups = tree.query_ball_point(mid2, PAIR_EPS)
     sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
     ends = np.cumsum(sizes)
     n_groups = min(
@@ -237,7 +235,7 @@ def _congruent_candidates(pts, pairs1, pairs2, r1, r2, alpha_deg, params):
         return none
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
-    badness = e_dist / params.eps + ang_err / _ANGLE_TOL_DEG
+    badness = e_dist / PAIR_EPS + ang_err / _ANGLE_TOL_DEG
     order = np.argsort(badness, kind="stable")[:_MAX_CANDIDATES]
     a, b = i1[order], i2[order]
     return np.column_stack((s1[a], e1[a], s2[b], e2[b]))
@@ -372,18 +370,18 @@ MIN_POINTS = 50
 
 
 def coarse_register(
-    source: PointCloud, target: PointCloud, params: RegistrationParams | None = None
+    source: PointCloud, target: PointCloud, seed: int = 0
 ) -> RegistrationResult:
     """Estimate the rigid transform taking `source` onto `target`.
 
-    Candidate 4-point sets are searched on a voxel-decimated copy of the
-    target (at most `_SEARCH_POINTS` points); the winning pose is then
-    scored and polished against the full target. Deterministic for a fixed
-    `params.seed`. Raises RegistrationFailed when no candidate reaches
-    `params.min_score`.
+    Candidate 4-point sets whose pair lengths match within `PAIR_EPS` are
+    searched on a voxel-decimated copy of the target (at most
+    `_SEARCH_POINTS` points) and ranked by their LCP score at `PAIR_EPS`;
+    the winning pose is then polished against the full target, and its
+    reported score is the LCP score at `INLIER_DIST`. Deterministic for a
+    fixed `seed`, a non-negative integer. Raises RegistrationFailed when no
+    candidate ranks at `MIN_SCORE` or above.
     """
-    if params is None:
-        params = RegistrationParams()
     if len(source) < MIN_POINTS or len(target) < MIN_POINTS:
         raise ValueError(
             f"coarse registration needs at least {MIN_POINTS} points per cloud"
@@ -391,7 +389,7 @@ def coarse_register(
     t0 = time.perf_counter()
     src = source.points
     tgt = target.points
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
     obb: Obb = fit_obb(source)
     diag = 2.0 * float(np.linalg.norm(obb.half_extents))
     spts = _search_cloud(target, _SEARCH_POINTS).points
@@ -409,10 +407,10 @@ def coarse_register(
         (ia, ib, ic, idd), r1, r2, alpha = base
         len1 = float(np.linalg.norm(src[ib] - src[ia]))
         len2 = float(np.linalg.norm(src[idd] - src[ic]))
-        pairs1 = _annulus(table, len1, params.eps)
+        pairs1 = _annulus(table, len1, PAIR_EPS)
         if len(pairs1) == 0 or len(pairs1) > _PAIR_CAP:
             continue
-        pairs2 = _annulus(table, len2, params.eps)
+        pairs2 = _annulus(table, len2, PAIR_EPS)
         if len(pairs2) == 0 or len(pairs2) > _PAIR_CAP:
             continue
         # a gridded target concentrates pair distances at a few lattice
@@ -426,7 +424,7 @@ def coarse_register(
             keep = rng.choice(len(pairs2), _PAIR_SUBSAMPLE, replace=False)
             keep.sort()
             pairs2 = pairs2[keep]
-        cands = _congruent_candidates(spts, pairs1, pairs2, r1, r2, alpha, params)
+        cands = _congruent_candidates(spts, pairs1, pairs2, r1, r2, alpha)
         base_pts = src[[ia, ib, ic, idd]]
         for quad in cands:
             cand_pts = spts[quad]
@@ -434,11 +432,11 @@ def coarse_register(
             rmsd = float(
                 np.sqrt(np.mean(np.sum((pose.transform(base_pts) - cand_pts) ** 2, axis=1)))
             )
-            if rmsd > 2.5 * params.eps:
+            if rmsd > 2.5 * PAIR_EPS:
                 continue
             # rank at the tight pair tolerance: at the loose inlier radius a
             # pose several millimeters off is indistinguishable from aligned
-            hits = lcp.hits(pose, params.eps, best_hits)
+            hits = lcp.hits(pose, PAIR_EPS, best_hits)
             if hits > best_hits:
                 best_hits = hits
                 best_score = hits / len(lcp.sample)
@@ -447,10 +445,10 @@ def coarse_register(
                 break
         if best_score >= _EARLY_EXIT_SCORE:
             break
-    if best_pose is None or best_score < params.min_score:
+    if best_pose is None or best_score < MIN_SCORE:
         raise RegistrationFailed(
             f"best alignment score {max(best_score, 0.0):.3f} below "
-            f"{params.min_score:.3f}"
+            f"{MIN_SCORE:.3f}"
         )
     # polish the winner on nearest-neighbor correspondences, dropping only the
     # farthest few percent each pass. Points over a sensor hole pull toward the
@@ -465,8 +463,8 @@ def coarse_register(
             break
         pose = kabsch(src[inl], tgt[idx[inl]])
     snapped = _box_snap(src, tgt, pose)
-    pose = max((snapped, pose, best_pose), key=lambda p: lcp.score(p, params.eps))
-    final_score = lcp.score(pose, params.inlier_dist)
+    pose = max((snapped, pose, best_pose), key=lambda p: lcp.score(p, PAIR_EPS))
+    final_score = lcp.score(pose, INLIER_DIST)
     pose = Pose(orthonormalize(pose.r), pose.t)
     return RegistrationResult(pose, final_score, time.perf_counter() - t0)
 

@@ -9,7 +9,6 @@ three criteria.
 import math
 import statistics
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -227,9 +226,7 @@ def test_criterion_06_coarse_registration(request):
         target = voxel_downsample(
             deproject_mask(config.intrinsics, depth, mask), config.voxel_leaf_m
         )
-        result = coarse_register(
-            ref.cloud, target, replace(config.registration, seed=scene_seed)
-        )
+        result = coarse_register(ref.cloud, target, scene_seed)
         rot_err = symmetric_rot_err_deg(result.pose.r, gt.r)
         trans_err = float(np.linalg.norm(result.pose.t - gt.t)) * 1000.0
         times.append(result.elapsed)

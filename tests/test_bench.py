@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import ndimage
 
-from cuboidpose import bench, camera, segmentation, synth
+from cuboidpose import bench, camera, registration, segmentation, synth
 from cuboidpose.bench import (
     BenchConfig,
     PipelineConfig,
@@ -36,7 +36,7 @@ from cuboidpose.errors import (
 from cuboidpose.filters import voxel_downsample
 from cuboidpose.geometry import Pose, rotation_angle
 from cuboidpose.io import load_intrinsics, load_pgm16, load_ppm, save_scene, write_kv
-from cuboidpose.registration import RegistrationParams, coarse_register
+from cuboidpose.registration import coarse_register
 from cuboidpose.segmentation import HsvRange, target_axis_points
 from cuboidpose.synth import render_scene
 from conftest import count_labels, face_plane, symmetric_rot_err_deg
@@ -256,9 +256,6 @@ PIPELINE_KV = {
     "use_sor": "0",
     "roi_tolerance": "0.2",
     "pitch_m": "0.005",
-    "reg_eps_m": "0.003",
-    "reg_inlier_dist_m": "0.01",
-    "reg_min_score": "0.4",
     "reg_seed": "7",
 }
 
@@ -289,9 +286,7 @@ def test_pipeline_config_key_set():
             assert _pipeline_value(default, key) != want, key
     config = PipelineConfig.from_kv(PIPELINE_KV)
     assert config.hsv == HsvRange(350.0, 10.0, 0.5, 0.9, 0.3, 0.95)
-    assert config.registration == RegistrationParams(
-        eps=0.003, inlier_dist=0.01, min_score=0.4, seed=7
-    )
+    assert config.reg_seed == 7
 
 
 @pytest.mark.parametrize(
@@ -310,17 +305,19 @@ def test_pipeline_config_key_set():
         {"sor_k": "0"},
         {"pitch_m": "0"},
         {"pitch_m": "0.2"},
+        # keys of the coarse search's tolerances, now registration constants
         {"reg_min_score": "2"},
         {"reg_min_score": "-0.1"},
         {"reg_inlier_dist_m": "0"},
         {"reg_eps_m": "0"},
         {"sor_stddev_mult": "-5"},
-        # NaN passes a `<= 0` check
         {"reg_inlier_dist_m": "nan"},
         {"reg_eps_m": "nan"},
+        # NaN passes a `<= 0` check
         {"voxel_leaf_m": "nan"},
         # outlier removal is no longer a pipeline stage
         {"use_sor": "1"},
+        {"reg_seed": "-1"},
     ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):
@@ -595,7 +592,7 @@ def test_pipeline_takes_the_plane_pose_without_searching(tmp_path, drawn, search
     result = run_pipeline(str(tmp_path), PipelineConfig(cuboid=drawn.spec.cuboid))
     assert search_calls == []
     assert result.searched is False
-    assert result.coarse_score >= RegistrationParams.min_score
+    assert result.coarse_score >= registration.MIN_SCORE
     assert _in_envelope(result.pose, drawn.gt_pose)
 
 
@@ -618,7 +615,7 @@ def test_pipeline_searches_when_the_plane_check_fails(
     intr = load_intrinsics(tmp_path / "intrinsics.txt")
     face = _segment(rgb, depth, intr, config)
     ref = make_reference_face(config.cuboid, config.pitch_m)
-    coarse = coarse_register(ref.cloud, face.segment, config.registration)
+    coarse = coarse_register(ref.cloud, face.segment, config.reg_seed)
     want, report = correct_pose(coarse.pose, ref, face.t1, face.t2)
     want = _canonical_orientation(want, face.t1, face.t2)
     assert result.pose.matrix.tobytes() == want.matrix.tobytes()
@@ -627,16 +624,15 @@ def test_pipeline_searches_when_the_plane_check_fails(
 
 
 def test_pipeline_failed_check_and_search_names_coarse_register(
-    tmp_path, drawn, far_start
+    tmp_path, drawn, far_start, monkeypatch
 ):
     save_scene(
         tmp_path, drawn.rgb, drawn.depth, drawn.mask, drawn.intr,
         drawn.gt_pose, drawn.spec.cuboid,
     )
-    # no search winner can score above 1; the reg_min_score key must lie in
-    # [0, 1], so the bar is raised on the built registration params
+    # no search winner can score above 1
+    monkeypatch.setattr(registration, "MIN_SCORE", 1.01)
     config = PipelineConfig(cuboid=drawn.spec.cuboid)
-    config.registration.min_score = 1.01
     with pytest.raises(PipelineError) as err:
         run_pipeline(str(tmp_path), config)
     assert err.value.stage == "coarse_register"

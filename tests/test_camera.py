@@ -252,3 +252,7 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=0.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
     with pytest.raises(ValueError):
         CameraIntrinsics(fx=600.0, fy=np.nan, cx=320.0, cy=240.0, width=640, height=480)
+    with pytest.raises(ValueError, match="finite"):
+        CameraIntrinsics(fx=np.inf, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+    with pytest.raises(ValueError, match="finite"):
+        CameraIntrinsics(fx=600.0, fy=np.inf, cx=320.0, cy=240.0, width=640, height=480)

@@ -1,7 +1,9 @@
 import os
+from dataclasses import fields
 
 import pytest
 
+from cuboidpose.bench import BenchConfig, PipelineConfig
 from cuboidpose.cli import main
 from cuboidpose.io import load_ground_truth, load_scene, read_kv
 
@@ -119,8 +121,13 @@ def test_bench_bad_config_value(tmp_path):
         "tilt_deg=nan",
         "inj_yaw_deg=nan",
         "background_depth_m=-1",
-        # a removed key: a trial never read the score it set
+        "master_seed=-1",
+        # removed keys: a trial never read the score reg_inlier_dist_m set,
+        # the search's tolerances are constants, and ICP stops on its own rule
         "reg_inlier_dist_m=0.01",
+        "reg_eps_m=0.003",
+        "reg_min_score=0.4",
+        "icp_max_iter=-4",
     ],
 )
 def test_bench_rejects_bad_config(tmp_path, kv):
@@ -129,6 +136,49 @@ def test_bench_rejects_bad_config(tmp_path, kv):
     conf.write_text(f"trials=2\nwarmup=0\n{kv}\n")
     assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
     assert not (tmp_path / "r").exists()
+
+
+def _float_keys(cls):
+    return [f.name for f in fields(cls) if f.init and f.type == "float"]
+
+
+# every float key each command reads: a float key added later is covered here
+BENCH_FLOAT_KEYS = _float_keys(BenchConfig)
+PIPELINE_FLOAT_KEYS = _float_keys(PipelineConfig) + [
+    key for key in BENCH_FLOAT_KEYS if key.startswith("face_")
+]
+NOT_FINITE = ["inf", "-inf", "nan"]
+
+
+@pytest.mark.parametrize("raw", NOT_FINITE)
+@pytest.mark.parametrize("key", BENCH_FLOAT_KEYS)
+@pytest.mark.parametrize("command", ["bench", "synth"])
+def test_bench_keys_reject_non_finite_values(tmp_path, command, key, raw):
+    conf = tmp_path / "bench.conf"
+    conf.write_text(f"trials=2\nwarmup=0\n{key}={raw}\n")
+    out = tmp_path / "r"
+    assert main([command, "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", NOT_FINITE)
+@pytest.mark.parametrize("key", PIPELINE_FLOAT_KEYS)
+def test_pipeline_keys_reject_non_finite_values(tmp_path, key, raw):
+    conf = tmp_path / "pipe.conf"
+    conf.write_text(f"{key}={raw}\n")
+    out = tmp_path / "r"
+    # rejected as a config error before the (missing) scene is read
+    args = ["pipeline", str(tmp_path / "nowhere"), "--config", str(conf)]
+    assert main([*args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "pipeline"])
+def test_negative_seed_is_a_config_error(tmp_path, command):
+    out = tmp_path / "r"
+    args = ["bench"] if command == "bench" else ["pipeline", str(tmp_path / "nowhere")]
+    assert main([*args, "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_with_usage_error():

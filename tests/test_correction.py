@@ -122,9 +122,8 @@ def test_yaw_error_degenerate_segment():
 
 def test_translation_error_zero_when_registered():
     pose = tilted_pose()
-    ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(pose)
-    err = estimate_translation_error(t1, t2, ref, pose)
+    err = estimate_translation_error(t1, t2, pose)
     assert_allclose(err, np.zeros(3), atol=1e-9)
 
 
@@ -132,9 +131,8 @@ def test_translation_error_pure_offset():
     gt = tilted_pose()
     dt = np.array([0.8, 3.1, -0.2]) / 1000.0
     start = inject_pose_error(gt, 0.0, -dt)
-    ref = make_reference_face(FACE, 0.01)
     t1, t2 = axis_targets(gt)
-    err = estimate_translation_error(t1, t2, ref, start)
+    err = estimate_translation_error(t1, t2, start)
     assert_allclose(err, dt, atol=1e-4)
 
 
@@ -147,7 +145,7 @@ def test_translation_error_after_yaw_fix():
         t1, t2, *reference_axis_points(ref, start), start.r[:, 2]
     )
     rotated = start.compose(Pose(rotation_z(yaw), np.zeros(3)))
-    err = estimate_translation_error(t1, t2, ref, rotated)
+    err = estimate_translation_error(t1, t2, rotated)
     assert_allclose(err, [0.005, 0.0, 0.0], atol=2e-4)
 
 

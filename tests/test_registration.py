@@ -24,7 +24,6 @@ from cuboidpose.correction import CuboidSpec
 from cuboidpose.errors import RegistrationFailed
 from cuboidpose.geometry import orthonormalize, rotation_about, rotation_angle, rotation_z
 from cuboidpose.registration import (
-    RegistrationParams,
     _TrackedNearest,
     _annulus,
     _congruent_candidates,
@@ -124,7 +123,7 @@ def test_pair_table_matches_norm_bitwise(seed):
 
 
 def _candidates_by_rows(
-    pts, pairs1, pairs2, r1, r2, alpha_deg, params, cut=50000, angle_tol_deg=7.0
+    pts, pairs1, pairs2, r1, r2, alpha_deg, cut=50000, angle_tol_deg=7.0
 ):
     """Row-loop form of the congruent-set match, kept here as the oracle: the
     matches of each midpoint group are appended in order, stopping after the
@@ -139,7 +138,7 @@ def _candidates_by_rows(
     s2, e2, p2, d2 = endpoints(pairs2)
     mid1 = p1 + r1 * d1
     mid2 = p2 + r2 * d2
-    groups = cKDTree(mid1).query_ball_point(mid2, params.eps)
+    groups = cKDTree(mid1).query_ball_point(mid2, registration.PAIR_EPS)
     rows = []
     for j, grp in enumerate(groups):
         for i in grp:
@@ -157,7 +156,7 @@ def _candidates_by_rows(
     keep = ang_err <= angle_tol_deg
     i1, i2, ang_err = i1[keep], i2[keep], ang_err[keep]
     e_dist = np.linalg.norm(mid1[i1] - mid2[i2], axis=1)
-    badness = e_dist / params.eps + ang_err / angle_tol_deg
+    badness = e_dist / registration.PAIR_EPS + ang_err / angle_tol_deg
     order = np.argsort(badness, kind="stable")[: registration._MAX_CANDIDATES]
     return [
         (int(s1[a]), int(e1[a]), int(s2[b]), int(e2[b]))
@@ -188,9 +187,8 @@ def test_congruent_candidates_match_row_loop(seed, monkeypatch):
     keep all of them, so one group more or less changes the result."""
     rng = np.random.default_rng(seed)
     monkeypatch.setattr(registration, "_MAX_CANDIDATES", 10**6)
-    params = RegistrationParams()
-    pts, pairs1, pairs2 = _crossed_segments(rng, 400, 160, params.eps)
-    args = (pts, pairs1, pairs2, 0.5, 0.5, 90.0, params)
+    pts, pairs1, pairs2 = _crossed_segments(rng, 400, 160, registration.PAIR_EPS)
+    args = (pts, pairs1, pairs2, 0.5, 0.5, 90.0)
     want = _candidates_by_rows(*args)
     uncut = _candidates_by_rows(*args, cut=10**9)
     assert 50000 < len(want) < len(uncut)
@@ -198,22 +196,21 @@ def test_congruent_candidates_match_row_loop(seed, monkeypatch):
     assert got.shape == (len(want), 4)
     assert got.tolist() == [list(row) for row in want]
     # and below the cut: a short input is taken whole
-    few = (pts, pairs1[:20], pairs2[:20], 0.5, 0.5, 90.0, params)
+    few = (pts, pairs1[:20], pairs2[:20], 0.5, 0.5, 90.0)
     assert _congruent_candidates(*few).tolist() == [
         list(row) for row in _candidates_by_rows(*few)
     ]
 
 
 def test_congruent_candidates_none():
-    params = RegistrationParams()
     rng = np.random.default_rng(5)
-    pts, pairs1, pairs2 = _crossed_segments(rng, 10, 10, params.eps)
+    pts, pairs1, pairs2 = _crossed_segments(rng, 10, 10, registration.PAIR_EPS)
     far = pts.copy()
     far[20:] += 1.0  # the y segments' midpoints move away from the x ones
-    got = _congruent_candidates(far, pairs1, pairs2, 0.5, 0.5, 90.0, params)
+    got = _congruent_candidates(far, pairs1, pairs2, 0.5, 0.5, 90.0)
     assert got.shape == (0, 4)
     # close midpoints but the wrong crossing angle
-    got = _congruent_candidates(pts, pairs1, pairs2, 0.5, 0.5, 30.0, params)
+    got = _congruent_candidates(pts, pairs1, pairs2, 0.5, 0.5, 30.0)
     assert got.shape == (0, 4)
 
 
@@ -418,12 +415,11 @@ def test_only_the_plane_check_reshapes_its_tree(monkeypatch, rendered_target):
     monkeypatch.setattr(registration, "cKDTree", recorded)
     target, _, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    params = RegistrationParams(seed=scene_seed)
-    pose = coarse_register(ref.cloud, target, params).pose
+    pose = coarse_register(ref.cloud, target, scene_seed).pose
     icp_refine(ref.cloud, target, pose, max_iter=3)
     assert made and all(kwargs == {} for kwargs in made)
     made.clear()
-    lcp_score(ref.cloud, target, pose, params.inlier_dist)
+    lcp_score(ref.cloud, target, pose, registration.INLIER_DIST)
     assert made == [{"balanced_tree": False, "compact_nodes": False}]
 
 
@@ -646,7 +642,7 @@ def rendered_target():
 def test_coarse_register_finds_the_face(rendered_target):
     target, gt_pose, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    res = coarse_register(ref.cloud, target, RegistrationParams(seed=scene_seed))
+    res = coarse_register(ref.cloud, target, scene_seed)
     assert symmetric_rot_err_deg(res.pose.r, gt_pose.r) <= 3.3
     assert np.linalg.norm(res.pose.t - gt_pose.t) * 1000.0 <= 5.3
     assert res.score >= 0.5
@@ -655,9 +651,8 @@ def test_coarse_register_finds_the_face(rendered_target):
 def test_coarse_register_deterministic(rendered_target):
     target, _, _ = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    params = RegistrationParams(seed=123)
-    a = coarse_register(ref.cloud, target, params)
-    b = coarse_register(ref.cloud, target, params)
+    a = coarse_register(ref.cloud, target, 123)
+    b = coarse_register(ref.cloud, target, 123)
     assert_allclose(a.pose.matrix, b.pose.matrix, atol=0.0)
     assert a.score == b.score
 
@@ -665,7 +660,7 @@ def test_coarse_register_deterministic(rendered_target):
 def test_coarse_register_pose_orthonormal(rendered_target):
     target, _, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    res = coarse_register(ref.cloud, target, RegistrationParams(seed=scene_seed))
+    res = coarse_register(ref.cloud, target, scene_seed)
     assert_allclose(res.pose.r.T @ res.pose.r, np.eye(3), atol=1e-9)
     assert np.linalg.det(res.pose.r) == pytest.approx(1.0, abs=1e-9)
 
@@ -675,13 +670,13 @@ def test_coarse_register_rejects_garbage():
     ref = make_reference_face(FACE, 0.006)
     blob = PointCloud(rng.uniform(size=(400, 3)) * 0.02 + np.array([0.0, 0.0, 1.0]))
     with pytest.raises(RegistrationFailed):
-        coarse_register(ref.cloud, blob, RegistrationParams())
+        coarse_register(ref.cloud, blob, 0)
 
 
 def test_coarse_register_needs_points():
     ref = make_reference_face(FACE, 0.006)
     with pytest.raises(ValueError):
-        coarse_register(ref.cloud, PointCloud(np.zeros((10, 3))), RegistrationParams())
+        coarse_register(ref.cloud, PointCloud(np.zeros((10, 3))), 0)
 
 
 def test_coarse_register_early_rejection_is_exact(rendered_target, monkeypatch):
@@ -689,11 +684,10 @@ def test_coarse_register_early_rejection_is_exact(rendered_target, monkeypatch):
     is rejected early, gives the same pose and score bits."""
     target, _, scene_seed = rendered_target
     ref = make_reference_face(FACE, 0.006)
-    params = RegistrationParams(seed=scene_seed)
     monkeypatch.setattr(registration, "_EARLY_EXIT_SCORE", 1.1)
     monkeypatch.setattr(registration, "_MAX_ATTEMPTS", 40)
-    chunked = coarse_register(ref.cloud, target, params)
+    chunked = coarse_register(ref.cloud, target, scene_seed)
     monkeypatch.setattr(registration, "_LCP_STRIDE", 1)
-    whole = coarse_register(ref.cloud, target, params)
+    whole = coarse_register(ref.cloud, target, scene_seed)
     assert chunked.pose.matrix.tobytes() == whole.pose.matrix.tobytes()
     assert chunked.score == whole.score
