@@ -66,20 +66,19 @@ _DEFAULT_HSV = HsvRange(h_lo=340.0, h_hi=20.0, s_lo=0.4, s_hi=1.0, v_lo=0.2, v_h
 _DEFAULT_CUBOID = CuboidSpec(0.30, 0.20, 0.05)
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(raw)
-    return value
-
-
-_CASTS = {"int": int, "float": _finite, "str": str, "bool": lambda raw: bool(int(raw))}
+_CASTS = {
+    "int": int,
+    "float": float,
+    # 0 or 1: `index` raises ValueError on any other string
+    "bool": lambda raw: bool(("0", "1").index(raw)),
+}
 
 
 def _from_kv(cls, kv: dict[str, str], what: str, **given):
     """Build a config dataclass from string pairs, each cast to the type of
-    the field it names; unknown keys and uncastable values, a float that is
-    not finite among them, are ParseErrors."""
+    the field it names; unknown keys and uncastable values are ParseErrors.
+    A value the cast accepts but the config does not, such as `inf` for a
+    float, is the config's own ValueError."""
     types = {f.name: f.type for f in fields(cls) if f.init and f.type in _CASTS}
     kwargs = {}
     for key, raw in kv.items():
@@ -92,16 +91,25 @@ def _from_kv(cls, kv: dict[str, str], what: str, **given):
     return cls(**given, **kwargs)
 
 
+def _check_floats(config) -> None:
+    """Raise ValueError if any `float` init field of the config dataclass is
+    infinite or NaN; range checks that follow need not each exclude them."""
+    for f in fields(config):
+        if f.init and f.type == "float" and not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 # ---------------------------------------------------------------- pipeline
 
 @dataclass
 class PipelineConfig:
     """Knobs for a single end-to-end run; every field but `cuboid` has a
-    key=value spelling, and the `face_*_m` keys set `cuboid`. `use_sor`
-    accepts only 0: statistical outlier removal is no longer a pipeline
-    stage, and the field stays so that configs which turn it off still
-    load. `reg_seed` seeds the 4-point search, whose tolerances are the
-    `registration` module's constants."""
+    key=value spelling, and the `face_*_m` keys set `cuboid`. Every float
+    field must be finite. `use_sor` accepts only 0: statistical outlier
+    removal is no longer a pipeline stage, and the field stays so that
+    configs which turn it off still load. `reg_seed` seeds the 4-point
+    search, whose tolerances are the `registration` module's constants; the
+    mask's smallest component is `segmentation.MIN_MASK_PIXELS`."""
 
     cuboid: CuboidSpec = _DEFAULT_CUBOID
     hsv_h_lo: float = _DEFAULT_HSV.h_lo
@@ -110,7 +118,6 @@ class PipelineConfig:
     hsv_s_hi: float = _DEFAULT_HSV.s_hi
     hsv_v_lo: float = _DEFAULT_HSV.v_lo
     hsv_v_hi: float = _DEFAULT_HSV.v_hi
-    min_mask_pixels: int = 100
     voxel_leaf_m: float = 0.005
     use_sor: bool = False
     roi_tolerance: float = 0.15
@@ -122,6 +129,7 @@ class PipelineConfig:
     reference: ReferenceFace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_floats(self)
         if not self.voxel_leaf_m > 0:
             raise ValueError("voxel_leaf_m must be positive")
         if self.reg_seed < 0:
@@ -218,7 +226,7 @@ def _segment(rgb, depth, intr: CameraIntrinsics, config: PipelineConfig) -> Fron
     """
     with _stage("hsv_threshold"):
         mask = hsv_threshold(rgb, config.hsv)
-        mask = largest_component(mask, config.min_mask_pixels)
+        mask = largest_component(mask)
     with _stage("deproject"):
         cloud = deproject_mask(intr, depth, mask)
     with _stage("roi_filter"):
@@ -313,7 +321,8 @@ def _canonical_orientation(pose: Pose, t1, t2) -> Pose:
 
 @dataclass
 class BenchConfig:
-    """Trial sweep parameters; every field has a key=value spelling."""
+    """Trial sweep parameters; every field has a key=value spelling, and
+    every float field must be finite."""
 
     trials: int = 100
     master_seed: int = 0
@@ -337,12 +346,13 @@ class BenchConfig:
     voxel_leaf_m: float = 0.006
     pitch_m: float = 0.006
     background_depth_m: float = 1.5  # zero disables the backdrop
-    use_coarse: int = 0
+    use_coarse: bool = False
     warmup: int = 3
     intrinsics: CameraIntrinsics = field(init=False)  # the rendering camera
     pipeline: PipelineConfig = field(init=False)  # the trial front end
 
     def __post_init__(self):
+        _check_floats(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.master_seed < 0:
@@ -363,7 +373,6 @@ class BenchConfig:
             raise ValueError("dropout_frac must be in [0, 0.3)")
         if not self.distance_m > 0.3:
             raise ValueError("distance_m must exceed 0.3")
-        # a NaN cx or cy reaches CameraIntrinsics, which rejects it
         self.intrinsics = CameraIntrinsics(
             fx=self.fx,
             fy=self.fy,

@@ -40,15 +40,17 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class CuboidSpec:
-    """Face dimensions in meters; width >= height >= depth > 0."""
+    """Face dimensions in meters; finite width >= height >= depth > 0."""
 
     width: float
     height: float
     depth: float
 
     def __post_init__(self):
-        if not (self.width >= self.height >= self.depth > 0):
-            raise ValueError("dimensions must satisfy width >= height >= depth > 0")
+        if not (math.inf > self.width >= self.height >= self.depth > 0):
+            raise ValueError(
+                "dimensions must be finite and satisfy width >= height >= depth > 0"
+            )
 
     @property
     def diagonal(self) -> float:

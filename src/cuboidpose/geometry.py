@@ -44,15 +44,6 @@ class Pose:
         self.r = np.asarray(self.r, dtype=np.float64).reshape(3, 3)
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    @staticmethod
-    def from_matrix(m) -> "Pose":
-        m = np.asarray(m, dtype=np.float64).reshape(4, 4)
-        return Pose(m[:3, :3], m[:3, 3])
-
     @property
     def matrix(self) -> np.ndarray:
         """4x4 homogeneous matrix."""
@@ -64,9 +55,6 @@ class Pose:
     def compose(self, other: "Pose") -> "Pose":
         """self after other: (self.compose(other))(p) == self(other(p))."""
         return Pose(self.r @ other.r, self.r @ other.t + self.t)
-
-    def inverse(self) -> "Pose":
-        return Pose(self.r.T, -self.r.T @ self.t)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)

@@ -1,5 +1,7 @@
 """File formats: PGM/PPM images, key=value configs and the ground-truth
-sidecar."""
+sidecar. `save_scene` writes a scene's five files; `run_pipeline` reads back
+the color image, the depth image and the intrinsics. The mask and the
+ground-truth sidecar are written for the reader and are not read here."""
 
 from __future__ import annotations
 
@@ -94,15 +96,6 @@ def save_pgm8(path, mask: MaskImage) -> None:
         f.write(mask.data.astype(np.uint8).tobytes())
 
 
-def load_pgm8(path) -> MaskImage:
-    data = _read_writable(path)
-    w, h, maxval, pos = _read_pnm_header(data, b"P5", path)
-    if maxval != 255:
-        raise ParseError(f"{path}: expected 8-bit mask, maxval {maxval}")
-    raw = _pixels(data, pos, np.uint8, w * h, path)
-    return MaskImage(raw.reshape(h, w))
-
-
 def save_ppm(path, rgb: np.ndarray) -> None:
     rgb = np.asarray(rgb, dtype=np.uint8)
     h, w, _ = rgb.shape
@@ -189,24 +182,6 @@ def save_ground_truth(path, pose: Pose, cuboid: CuboidSpec, extra: dict | None =
     write_kv(path, pairs)
 
 
-def load_ground_truth(path) -> tuple[Pose, CuboidSpec, dict[str, str]]:
-    kv = read_kv(path)
-    try:
-        vals = [float(v) for v in kv.pop("pose").split()]
-    except KeyError:
-        raise ParseError(f"{path}: missing pose") from None
-    if len(vals) != 16:
-        raise ParseError(f"{path}: pose needs 16 values, found {len(vals)}")
-    pose = Pose.from_matrix(np.array(vals).reshape(4, 4))
-    try:
-        cuboid = CuboidSpec(
-            float(kv.pop("width")), float(kv.pop("height")), float(kv.pop("depth"))
-        )
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing dimension {exc}") from None
-    return pose, cuboid, kv
-
-
 def save_scene(out_dir, rgb, depth, mask, intr, pose, cuboid, extra=None) -> None:
     """Write the full scene file set into a directory."""
     os.makedirs(out_dir, exist_ok=True)
@@ -216,12 +191,3 @@ def save_scene(out_dir, rgb, depth, mask, intr, pose, cuboid, extra=None) -> Non
     save_intrinsics(os.path.join(out_dir, "intrinsics.txt"), intr)
     save_ground_truth(os.path.join(out_dir, "ground_truth.txt"), pose, cuboid, extra)
 
-
-def load_scene(scene_dir):
-    """Read back the file set written by `save_scene`."""
-    rgb = load_ppm(os.path.join(scene_dir, "rgb.ppm"))
-    depth = load_pgm16(os.path.join(scene_dir, "depth.pgm"))
-    mask = load_pgm8(os.path.join(scene_dir, "mask.pgm"))
-    intr = load_intrinsics(os.path.join(scene_dir, "intrinsics.txt"))
-    pose, cuboid, extra = load_ground_truth(os.path.join(scene_dir, "ground_truth.txt"))
-    return rgb, depth, mask, intr, pose, cuboid, extra

@@ -21,6 +21,10 @@ from .errors import (
 )
 from .geometry import Obb, PointCloud, fit_obb
 
+# the fewest pixels a face's mask component may have: smaller ones are
+# specks, or a face too far away to outline
+MIN_MASK_PIXELS = 100
+
 
 @dataclass(frozen=True)
 class HsvRange:
@@ -74,10 +78,6 @@ class Quadrilateral2D:
     def edge_lengths(self) -> np.ndarray:
         d = _turn(self.corners) - self.corners
         return np.linalg.norm(d, axis=1)
-
-    @property
-    def area(self) -> float:
-        return _shoelace(self.corners)
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,7 +408,7 @@ def _refine_quad(poly: np.ndarray, boundary: np.ndarray) -> np.ndarray | None:
     return corners
 
 
-def largest_component(mask: MaskImage, min_area: int = 100) -> MaskImage:
+def largest_component(mask: MaskImage, min_area: int = MIN_MASK_PIXELS) -> MaskImage:
     """The mask's largest 8-connected component, alone in a mask of the same
     size. Raises NoComponent when the mask is empty or that component has
     fewer than `min_area` pixels.
@@ -463,7 +463,9 @@ def _boundary(component: np.ndarray) -> np.ndarray:
     return component & ~interior
 
 
-def fit_quadrilateral(mask: MaskImage, min_area: int = 100) -> Quadrilateral2D:
+def fit_quadrilateral(
+    mask: MaskImage, min_area: int = MIN_MASK_PIXELS
+) -> Quadrilateral2D:
     """Quadrilateral enclosing the largest connected mask component.
 
     The convex hull of the component's boundary pixels (set pixels with an

@@ -1,6 +1,7 @@
 """Benchmark harness: trial drawing, the end-to-end pipeline, and the CSV
 report writer."""
 
+import math
 import re
 import tracemalloc
 from dataclasses import fields
@@ -25,7 +26,7 @@ from cuboidpose.bench import (
 )
 from cuboidpose.camera import back_project
 from cuboidpose.cli import main
-from cuboidpose.correction import correct_pose, make_reference_face
+from cuboidpose.correction import CuboidSpec, correct_pose, make_reference_face
 from cuboidpose.errors import (
     NoRoiMatch,
     ParseError,
@@ -213,6 +214,28 @@ def test_bench_config_validation():
         BenchConfig(voxel_leaf_m=0)
 
 
+def _float_fields(cls):
+    return [f.name for f in fields(cls) if f.init and f.type == "float"]
+
+
+@pytest.mark.parametrize("raw", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "cls, name",
+    [(BenchConfig, name) for name in _float_fields(BenchConfig)]
+    + [(PipelineConfig, name) for name in _float_fields(PipelineConfig)],
+)
+def test_config_rejects_non_finite_floats(cls, name, raw):
+    """A config built in Python rejects a value that is not finite, as one
+    read from key=value text does, before any trial or scene uses it."""
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**{name: raw})
+
+
+def test_cuboid_spec_rejects_an_infinite_width():
+    with pytest.raises(ValueError, match="finite"):
+        CuboidSpec(math.inf, 0.2, 0.05)
+
+
 def test_pipeline_config_from_kv():
     config = PipelineConfig.from_kv({"voxel_leaf_m": "0.004", "use_sor": "0"})
     assert config.voxel_leaf_m == 0.004
@@ -220,7 +243,6 @@ def test_pipeline_config_from_kv():
     defaults = PipelineConfig.from_kv({})
     assert defaults.voxel_leaf_m == 0.005
     assert defaults.use_sor is False
-    assert defaults.min_mask_pixels == 100
 
 
 def test_pipeline_config_grids_a_small_face_at_its_own_pitch():
@@ -251,7 +273,6 @@ PIPELINE_KV = {
     "hsv_s_hi": "0.9",
     "hsv_v_lo": "0.3",
     "hsv_v_hi": "0.95",
-    "min_mask_pixels": "50",
     "voxel_leaf_m": "0.004",
     "use_sor": "0",
     "roi_tolerance": "0.2",
@@ -318,6 +339,8 @@ def test_pipeline_config_key_set():
         # outlier removal is no longer a pipeline stage
         {"use_sor": "1"},
         {"reg_seed": "-1"},
+        # the mask minimum is the constant `segmentation.MIN_MASK_PIXELS`
+        {"min_mask_pixels": "50"},
     ],
 )
 def test_pipeline_config_rejects_bad_input(tmp_path, kv):
@@ -713,9 +736,7 @@ def test_default_segment_is_the_voxelled_component(tmp_path):
     rgb = load_ppm(tmp_path / "rgb.ppm")
     depth = load_pgm16(tmp_path / "depth.pgm")
     intr = load_intrinsics(tmp_path / "intrinsics.txt")
-    mask = segmentation.largest_component(
-        segmentation.hsv_threshold(rgb, pipeline.hsv), pipeline.min_mask_pixels
-    )
+    mask = segmentation.largest_component(segmentation.hsv_threshold(rgb, pipeline.hsv))
     cloud = camera.deproject_mask(intr, depth, mask)
     assert result.segment_size == len(voxel_downsample(cloud, 0.005))
 

@@ -5,7 +5,7 @@ import pytest
 
 from cuboidpose.bench import BenchConfig, PipelineConfig
 from cuboidpose.cli import main
-from cuboidpose.io import load_ground_truth, load_scene, read_kv
+from cuboidpose.io import read_kv
 
 
 def test_synth_writes_scene_files(tmp_path):
@@ -24,8 +24,8 @@ def test_synth_writes_scene_files(tmp_path):
 def test_synth_seed_changes_scene(tmp_path):
     main(["synth", "--out", str(tmp_path / "a"), "--seed", "0"])
     main(["synth", "--out", str(tmp_path / "b"), "--seed", "1"])
-    _, _, extra_a = load_ground_truth(tmp_path / "a" / "ground_truth.txt")
-    _, _, extra_b = load_ground_truth(tmp_path / "b" / "ground_truth.txt")
+    extra_a = read_kv(tmp_path / "a" / "ground_truth.txt")
+    extra_b = read_kv(tmp_path / "b" / "ground_truth.txt")
     assert extra_a["scene_seed"] != extra_b["scene_seed"]
 
 
@@ -35,8 +35,7 @@ def test_synth_honors_config_file(tmp_path):
     out = tmp_path / "scene"
     rc = main(["synth", "--config", str(conf), "--out", str(out)])
     assert rc == 0
-    _, _, _, _, _, _, extra = load_scene(out)
-    assert extra["noise_sigma_mm"] == "0"
+    assert read_kv(out / "ground_truth.txt")["noise_sigma_mm"] == "0"
 
 
 def test_pipeline_on_synth_scene(tmp_path, capsys):
@@ -128,6 +127,9 @@ def test_bench_bad_config_value(tmp_path):
         "reg_eps_m=0.003",
         "reg_min_score=0.4",
         "icp_max_iter=-4",
+        # a bool is 0 or 1
+        "use_coarse=2",
+        "use_coarse=-3",
     ],
 )
 def test_bench_rejects_bad_config(tmp_path, kv):

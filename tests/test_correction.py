@@ -61,7 +61,7 @@ def test_reference_grid_pitch_limits():
 
 def test_reference_axis_points_identity():
     ref = make_reference_face(FACE, 0.01)
-    a1, a2 = reference_axis_points(ref, Pose.identity())
+    a1, a2 = reference_axis_points(ref, Pose(np.eye(3), np.zeros(3)))
     assert_allclose(a1, [0.0, 0.0, 0.0], atol=1e-12)
     assert_allclose(a2, [FACE.width / 4.0, 0.0, 0.0], atol=1e-12)
 
@@ -114,7 +114,7 @@ def test_yaw_error_folds_swapped_targets():
 
 def test_yaw_error_degenerate_segment():
     ref = make_reference_face(FACE, 0.01)
-    a1, a2 = reference_axis_points(ref, Pose.identity())
+    a1, a2 = reference_axis_points(ref, Pose(np.eye(3), np.zeros(3)))
     p = np.array([0.1, 0.1, 1.0])
     with pytest.raises(DegenerateSegment):
         estimate_yaw_error(p, p, a1, a2, [0.0, 0.0, 1.0])

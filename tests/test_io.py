@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
 
 from cuboidpose import CameraIntrinsics, CuboidSpec, DepthImage, MaskImage, Pose
 from cuboidpose.camera import deproject_mask
@@ -11,12 +10,9 @@ from cuboidpose.errors import ParseError
 from cuboidpose.geometry import rotation_about
 from cuboidpose.io import (
     _read_pnm_header,
-    load_ground_truth,
     load_intrinsics,
-    load_pgm8,
     load_pgm16,
     load_ppm,
-    load_scene,
     read_kv,
     save_ground_truth,
     save_intrinsics,
@@ -47,12 +43,17 @@ def test_depth_round_trip_preserves_holes(tmp_path):
     assert load_pgm16(path).data[3, 4] == 0.0
 
 
+def _pgm8_bytes(mask: MaskImage) -> bytes:
+    """An 8-bit binary PGM of the mask: header, then one byte a pixel."""
+    return f"P5\n{mask.width} {mask.height}\n255\n".encode() + mask.data.tobytes()
+
+
 def test_mask_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     mask = MaskImage((rng.uniform(size=(32, 40)) > 0.5).astype(np.uint8) * 255)
     path = tmp_path / "mask.pgm"
     save_pgm8(path, mask)
-    assert np.array_equal(load_pgm8(path).data, mask.data)
+    assert path.read_bytes() == _pgm8_bytes(mask)
 
 
 def test_rgb_round_trip(tmp_path):
@@ -99,15 +100,23 @@ def test_intrinsics_round_trip(tmp_path):
     assert back == intr
 
 
+def _assert_ground_truth(kv, pose, cub):
+    """The sidecar's pairs hold the row-major pose and the face sizes, each
+    to the bit."""
+    back = np.array([float(v) for v in kv["pose"].split()]).reshape(4, 4)
+    assert back.tobytes() == pose.matrix.tobytes()
+    dims = (float(kv["width"]), float(kv["height"]), float(kv["depth"]))
+    assert CuboidSpec(*dims) == cub
+
+
 def test_ground_truth_round_trip(tmp_path):
     pose = Pose(rotation_about([0.3, 0.1, 1.0], 0.37), np.array([0.012, -0.004, 1.01]))
     cub = CuboidSpec(0.30, 0.20, 0.05)
     path = tmp_path / "gt.txt"
     save_ground_truth(path, pose, cub, extra={"note": "unit-test"})
-    back_pose, back_cub, extra = load_ground_truth(path)
-    assert_allclose(back_pose.matrix, pose.matrix, atol=1e-12)
-    assert back_cub == cub
-    assert extra["note"] == "unit-test"
+    kv = read_kv(path)
+    _assert_ground_truth(kv, pose, cub)
+    assert kv["note"] == "unit-test"
 
 
 def test_scene_round_trip(tmp_path, frontal):
@@ -121,13 +130,13 @@ def test_scene_round_trip(tmp_path, frontal):
         frontal.spec.gt_pose,
         frontal.spec.cuboid,
     )
-    rgb, depth, mask, intr, pose, cub, extra = load_scene(d)
-    assert np.array_equal(rgb, frontal.rgb)
+    assert np.array_equal(load_ppm(d / "rgb.ppm"), frontal.rgb)
+    depth = load_pgm16(d / "depth.pgm")
     assert np.abs(depth.data - frontal.depth.data).max() <= 0.0005 + 1e-12
-    assert np.array_equal(mask.data, frontal.mask.data)
-    assert intr == frontal.intr
-    assert_allclose(pose.matrix, frontal.spec.gt_pose.matrix, atol=1e-12)
-    assert cub == frontal.spec.cuboid
+    assert (d / "mask.pgm").read_bytes() == _pgm8_bytes(frontal.mask)
+    assert load_intrinsics(d / "intrinsics.txt") == frontal.intr
+    kv = read_kv(d / "ground_truth.txt")
+    _assert_ground_truth(kv, frontal.spec.gt_pose, frontal.spec.cuboid)
 
 
 # ------------------------------------------------ loaders against the old bodies
@@ -251,7 +260,6 @@ def _ppm_bytes():
         pytest.param(load_ppm, _ppm_bytes().replace(b"255", b"65535"), id="ppm-maxval"),
         pytest.param(load_ppm, b"P5" + _ppm_bytes()[2:], id="ppm-magic"),
         pytest.param(load_ppm, b"P6\n3 x\n255\n" + bytes(18), id="ppm-non-numeric"),
-        pytest.param(load_pgm8, b"P5\n3 2\n255\n" + bytes(5), id="pgm8-truncated"),
     ],
 )
 def test_loaders_raise_parse_error_at_load(tmp_path, load, data):

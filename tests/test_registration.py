@@ -343,8 +343,9 @@ def test_icp_empty_cloud():
     ref = make_reference_face(FACE, 0.006)
     from cuboidpose.errors import NoCorrespondences
 
+    empty = PointCloud(np.empty((0, 3)))
     with pytest.raises(NoCorrespondences):
-        icp_refine(ref.cloud, PointCloud(np.empty((0, 3))), Pose.identity())
+        icp_refine(ref.cloud, empty, Pose(np.eye(3), np.zeros(3)))
 
 
 def test_icp_pose_orthonormal():
@@ -390,7 +391,7 @@ def test_lcp_score_matches_default_tree(seed, n_target, n_dup, n_free, n_edge, s
     src = np.concatenate([edge, free])
     if len(src) == 0:
         src = tgt[:1]
-    pose = Pose.identity()
+    pose = Pose(np.eye(3), np.zeros(3))
     if moved:
         turn = rotation_about(rng.normal(size=3), rng.uniform(-0.1, 0.1))
         pose = Pose(turn, rng.normal(scale=0.01, size=3))
@@ -456,7 +457,7 @@ def test_tracked_nearest_matches_kdtree_under_motion(seed, n_target, n_dup, n_so
     src = rng.uniform(-1.2, 1.2, size=(n_source, 3))
     tree = cKDTree(tgt)
     nearest = _TrackedNearest(tgt)
-    pose = Pose.identity()
+    pose = Pose(np.eye(3), np.zeros(3))
     assert_same_as_tree(nearest, tree, src)
     for step in steps:
         rot, shift = MOTIONS[step]

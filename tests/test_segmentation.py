@@ -419,7 +419,6 @@ def test_quadrilateral_corner_order(frontal):
     # starts nearest the image origin and runs counter-clockwise in pixel axes
     d = np.linalg.norm(quad.corners, axis=1)
     assert d[0] == min(d)
-    assert quad.area > 0
 
 
 def test_quadrilateral_empty_mask():
@@ -432,6 +431,19 @@ def test_quadrilateral_min_area():
     mask.data[50:53, 50:53] = 255
     with pytest.raises(NoComponent):
         fit_quadrilateral(mask, min_area=100)
+
+
+def test_one_mask_minimum_for_component_and_outline():
+    """`largest_component` and `fit_quadrilateral` share the minimum
+    `MIN_MASK_PIXELS`, so a component the first keeps, the second outlines."""
+    mask = MaskImage(np.zeros((40, 40), np.uint8))
+    mask.data[10:20, 10:20] = 255
+    assert np.count_nonzero(mask.data) == segmentation.MIN_MASK_PIXELS
+    fit_quadrilateral(largest_component(mask))
+    mask.data[19, 19] = 0
+    for fit in (largest_component, fit_quadrilateral):
+        with pytest.raises(NoComponent, match="need 100"):
+            fit(mask)
 
 
 def test_quadrilateral_degenerate_line():
