@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -74,11 +74,11 @@ _CASTS = {
 }
 
 
-def _from_kv(cls, kv: dict[str, str], what: str, **given):
-    """Build a config dataclass from string pairs, each cast to the type of
-    the field it names; unknown keys and uncastable values are ParseErrors.
-    A value the cast accepts but the config does not, such as `inf` for a
-    float, is the config's own ValueError."""
+def _cast(cls, kv: dict[str, str], what: str) -> dict:
+    """String pairs as keyword arguments of `cls`, each value cast to the type
+    of the init field its key names; unknown keys and uncastable values are
+    ParseErrors. A value the cast accepts but the config does not, such as
+    `inf` for a float, is the config's own ValueError."""
     types = {f.name: f.type for f in fields(cls) if f.init and f.type in _CASTS}
     kwargs = {}
     for key, raw in kv.items():
@@ -88,15 +88,35 @@ def _from_kv(cls, kv: dict[str, str], what: str, **given):
             kwargs[key] = _CASTS[types[key]](raw)
         except ValueError:
             raise ParseError(f"bad value for {key}: {raw!r}") from None
-    return cls(**given, **kwargs)
+    return kwargs
 
 
-def _check_floats(config) -> None:
-    """Raise ValueError if any `float` init field of the config dataclass is
-    infinite or NaN; range checks that follow need not each exclude them."""
+def _within(default, interval: str, why: str = ""):
+    """A config field whose value must lie in `interval`, written like
+    "[0, 0.3)": a square bracket closes its end, a round one opens it. `why`
+    is added to the error."""
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    bounds = (lo, hi, interval[0] == "[", interval[-1] == "]")
+    meta = {"range": interval, "bounds": bounds, "why": f": {why}" if why else ""}
+    return field(default=default, metadata=meta)
+
+
+def _check_fields(config) -> None:
+    """Raise ValueError if an init field of the config dataclass is a `float`
+    that is not finite, or lies outside the interval it is declared `_within`."""
     for f in fields(config):
-        if f.init and f.type == "float" and not math.isfinite(getattr(config, f.name)):
+        if not f.init:
+            continue
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
+        meta = f.metadata
+        if "bounds" in meta:
+            lo, hi, lo_closed, hi_closed = meta["bounds"]
+            above = lo < value or lo_closed and lo == value
+            below = value < hi or hi_closed and value == hi
+            if not (above and below):
+                raise ValueError(f"{f.name} must be in {meta['range']}{meta['why']}")
 
 
 # ---------------------------------------------------------------- pipeline
@@ -105,11 +125,11 @@ def _check_floats(config) -> None:
 class PipelineConfig:
     """Knobs for a single end-to-end run; every field but `cuboid` has a
     key=value spelling, and the `face_*_m` keys set `cuboid`. Every float
-    field must be finite. `use_sor` accepts only 0: statistical outlier
-    removal is no longer a pipeline stage, and the field stays so that
-    configs which turn it off still load. `reg_seed` seeds the 4-point
-    search, whose tolerances are the `registration` module's constants; the
-    mask's smallest component is `segmentation.MIN_MASK_PIXELS`."""
+    field must be finite and each field declared `_within` an interval in
+    it; the value types built here check the rest. `use_sor` stays so that
+    configs which turn outlier removal off still load. `reg_seed` seeds the
+    4-point search, whose tolerances are the `registration` module's
+    constants; the mask's smallest component is `segmentation.MIN_MASK_PIXELS`."""
 
     cuboid: CuboidSpec = _DEFAULT_CUBOID
     hsv_h_lo: float = _DEFAULT_HSV.h_lo
@@ -118,27 +138,20 @@ class PipelineConfig:
     hsv_s_hi: float = _DEFAULT_HSV.s_hi
     hsv_v_lo: float = _DEFAULT_HSV.v_lo
     hsv_v_hi: float = _DEFAULT_HSV.v_hi
-    voxel_leaf_m: float = 0.005
-    use_sor: bool = False
+    voxel_leaf_m: float = _within(0.005, "(0, inf)")
+    use_sor: bool = _within(
+        False, "[0, 0]", "statistical outlier removal is no longer a pipeline stage"
+    )
     roi_tolerance: float = 0.15
     pitch_m: float = 0.006
-    reg_seed: int = 0
+    reg_seed: int = _within(0, "[0, inf)")
     hsv: HsvRange = field(init=False)
     roi: RoiSpec = field(init=False)
     # the reference grid at `pitch_m`, built once here; its points are read-only
     reference: ReferenceFace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_floats(self)
-        if not self.voxel_leaf_m > 0:
-            raise ValueError("voxel_leaf_m must be positive")
-        if self.reg_seed < 0:
-            raise ValueError("reg_seed must be >= 0")
-        if self.use_sor:
-            raise ValueError(
-                "use_sor must be 0: statistical outlier removal is no longer "
-                "a pipeline stage"
-            )
+        _check_fields(self)
         self.hsv = HsvRange(
             self.hsv_h_lo,
             self.hsv_h_hi,
@@ -157,13 +170,15 @@ class PipelineConfig:
 
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "PipelineConfig":
-        """Build from string pairs; unknown keys are config errors."""
-        # the face keys, their defaults and their check belong to BenchConfig,
-        # which grids the face at the pitch the pipeline will use
-        face = {k: v for k, v in kv.items() if k.startswith("face_") or k == "pitch_m"}
-        cuboid = _from_kv(BenchConfig, face, "pipeline").cuboid
-        rest = {k: v for k, v in kv.items() if not k.startswith("face_")}
-        return _from_kv(cls, rest, "pipeline", cuboid=cuboid)
+        """Build from string pairs; unknown keys are config errors. The
+        `face_*_m` keys are cast as `BenchConfig`'s fields of those names and
+        replace the default cuboid's sizes."""
+        face = {k: v for k, v in kv.items() if k.startswith("face_")}
+        sizes = _cast(BenchConfig, face, "pipeline")
+        sizes = {k.split("_")[1]: v for k, v in sizes.items()}
+        cuboid = replace(_DEFAULT_CUBOID, **sizes)
+        rest = {k: v for k, v in kv.items() if k not in face}
+        return cls(cuboid=cuboid, **_cast(cls, rest, "pipeline"))
 
 
 @dataclass
@@ -321,58 +336,41 @@ def _canonical_orientation(pose: Pose, t1, t2) -> Pose:
 
 @dataclass
 class BenchConfig:
-    """Trial sweep parameters; every field has a key=value spelling, and
-    every float field must be finite."""
+    """Trial sweep parameters; every field has a key=value spelling, every
+    float field must be finite and each field declared `_within` an interval
+    in it. The camera, the cuboid and the trial front end check the rest."""
 
-    trials: int = 100
-    master_seed: int = 0
-    inj_yaw_deg: float = 3.0
-    inj_dt_mm: float = 3.0
-    noise_sigma_mm: float = 1.0
-    dropout_frac: float = 0.1  # corner disk radius as a face-diagonal fraction
+    trials: int = _within(100, "[1, inf)")
+    master_seed: int = _within(0, "[0, inf)")
+    inj_yaw_deg: float = _within(3.0, "[0, inf)")
+    inj_dt_mm: float = _within(3.0, "[0, inf)")
+    noise_sigma_mm: float = _within(1.0, "[0, inf)")
+    # corner disk radius as a face-diagonal fraction
+    dropout_frac: float = _within(0.1, "[0, 0.3)")
     face_width_m: float = _DEFAULT_CUBOID.width
     face_height_m: float = _DEFAULT_CUBOID.height
     face_depth_m: float = _DEFAULT_CUBOID.depth
-    distance_m: float = 1.0
-    jitter_m: float = 0.02
-    tilt_deg: float = 2.0
-    scene_yaw_deg: float = 25.0
+    distance_m: float = _within(1.0, "(0.3, inf)")
+    jitter_m: float = _within(0.02, "[0, inf)")
+    tilt_deg: float = _within(2.0, "[0, inf)")
+    scene_yaw_deg: float = _within(25.0, "[0, inf)")
     img_width: int = 1280
     img_height: int = 720
     fx: float = 920.0
     fy: float = 920.0
-    cx: float = -1.0  # negative: use image center
+    cx: float = -1.0  # 0 or below: use image center
     cy: float = -1.0
     voxel_leaf_m: float = 0.006
     pitch_m: float = 0.006
-    background_depth_m: float = 1.5  # zero disables the backdrop
+    # zero disables the backdrop
+    background_depth_m: float = _within(1.5, "[0, inf)")
     use_coarse: bool = False
-    warmup: int = 3
+    warmup: int = _within(3, "[0, inf)")
     intrinsics: CameraIntrinsics = field(init=False)  # the rendering camera
     pipeline: PipelineConfig = field(init=False)  # the trial front end
 
     def __post_init__(self):
-        _check_floats(self)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        for name in (
-            "inj_yaw_deg",
-            "inj_dt_mm",
-            "noise_sigma_mm",
-            "jitter_m",
-            "tilt_deg",
-            "scene_yaw_deg",
-            "background_depth_m",
-            "warmup",
-        ):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.dropout_frac < 0.3:
-            raise ValueError("dropout_frac must be in [0, 0.3)")
-        if not self.distance_m > 0.3:
-            raise ValueError("distance_m must exceed 0.3")
+        _check_fields(self)
         self.intrinsics = CameraIntrinsics(
             fx=self.fx,
             fy=self.fy,
@@ -390,7 +388,7 @@ class BenchConfig:
     @classmethod
     def from_kv(cls, kv: dict[str, str]) -> "BenchConfig":
         """Build from string pairs; unknown keys are config errors."""
-        return _from_kv(cls, kv, "bench")
+        return cls(**_cast(cls, kv, "bench"))
 
     @property
     def cuboid(self) -> CuboidSpec:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .bench import (
     BenchConfig,
@@ -60,16 +59,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_kv(path) -> dict[str, str]:
-    if path is None:
-        return {}
-    return read_kv(path)
+def _load_kv(args, seed_key: str) -> dict[str, str]:
+    """The --config file's pairs, with --seed, when given, as `seed_key`."""
+    kv = {} if args.config is None else read_kv(args.config)
+    if args.seed is not None:
+        kv[seed_key] = str(args.seed)
+    return kv
 
 
 def _cmd_synth(args) -> int:
-    config = BenchConfig.from_kv(_load_kv(args.config))
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+    config = BenchConfig.from_kv(_load_kv(args, "master_seed"))
     scene_seed, gt, corner, _, _ = draw_trial(config, args.trial)
     spec = scene_spec_for(config, scene_seed, gt, corner)
     rgb, depth, mask, _, _ = render_scene(spec)
@@ -92,10 +91,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    kv = _load_kv(args.config)
-    if args.seed is not None:
-        kv["reg_seed"] = str(args.seed)
-    config = PipelineConfig.from_kv(kv)
+    config = PipelineConfig.from_kv(_load_kv(args, "reg_seed"))
     result = run_pipeline(args.scene_dir, config)
     report = result.report
     pose = result.pose
@@ -130,9 +126,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = BenchConfig.from_kv(_load_kv(args.config))
-    if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+    config = BenchConfig.from_kv(_load_kv(args, "master_seed"))
     result = run_bench(config, args.out)
     with open(result.summary_path, "r", encoding="ascii") as f:
         sys.stdout.write(f.read())

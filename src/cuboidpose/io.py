@@ -125,8 +125,10 @@ def write_kv(path, pairs: dict) -> None:
 
 
 def read_kv(path) -> dict[str, str]:
-    """Line-oriented key=value file; blank lines and '#' comments ignored."""
+    """Line-oriented key=value file; blank lines and '#' comments ignored.
+    A key set on two lines is a ParseError naming both."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for ln, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -135,7 +137,11 @@ def read_kv(path) -> dict[str, str]:
             if "=" not in line:
                 raise ParseError(f"expected key=value, got {line!r}", ln)
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ParseError(f"{key!r} repeats the key set on line {lines[key]}", ln)
+            lines[key] = ln
+            out[key] = value.strip()
     return out
 
 

@@ -204,14 +204,83 @@ def test_bench_config_bad_value():
         BenchConfig.from_kv({"trials": "many"})
 
 
-def test_bench_config_validation():
-    with pytest.raises(ValueError):
-        BenchConfig(trials=0)
-    with pytest.raises(ValueError):
-        BenchConfig(dropout_frac=0.5)
-    # checked by the derived trial front end, `BenchConfig.pipeline`
-    with pytest.raises(ValueError):
-        BenchConfig(voxel_leaf_m=0)
+def _declared(cls):
+    """The init fields whose declared interval bounds a key of `cls`: its
+    own, and for `BenchConfig` those of the `PipelineConfig` it passes the
+    same keys to (`voxel_leaf_m`)."""
+    names = {f.name for f in fields(cls) if f.init}
+    owners = (cls, PipelineConfig) if cls is BenchConfig else (cls,)
+    ranged = {
+        f.name: f for c in owners for f in fields(c) if "bounds" in f.metadata
+    }
+    return [f for name, f in ranged.items() if name in names]
+
+
+def _typed(f, value):
+    return {"int": int, "bool": bool}.get(f.type, float)(value)
+
+
+def _bound_cases():
+    """{(cls, key, value): accepted} for each finite end of each declared
+    interval: the value just outside it, and a closed end itself."""
+    cases = {}
+    for cls in (PipelineConfig, BenchConfig):
+        for f in _declared(cls):
+            lo, hi, lo_closed, hi_closed = f.metadata["bounds"]
+            for end, closed, out in ((lo, lo_closed, -1), (hi, hi_closed, 1)):
+                if math.isinf(end):
+                    continue
+                outside = end
+                if closed:
+                    cases[cls, f.name, _typed(f, end)] = True
+                    outside = end + out if f.type in ("int", "bool") else (
+                        math.nextafter(end, out * math.inf)
+                    )
+                cases[cls, f.name, _typed(f, outside)] = False
+    return cases
+
+
+BOUND_CASES = _bound_cases()
+ACCEPTED = [case for case, accepted in BOUND_CASES.items() if accepted]
+# the generated values, and one well past the end of its interval
+OUTSIDE = [case for case, accepted in BOUND_CASES.items() if not accepted] + [
+    (BenchConfig, "dropout_frac", 0.5)
+]
+
+
+def _case_id(case):
+    return f"{case[0].__name__}-{case[1]}-{case[2]!r}"
+
+
+def test_bound_cases_cover_both_configs():
+    keys = {(c, k) for c, k, _ in OUTSIDE}
+    assert {(BenchConfig, "trials"), (BenchConfig, "voxel_leaf_m")} <= keys
+    assert {(PipelineConfig, "use_sor"), (PipelineConfig, "reg_seed")} <= keys
+
+
+@pytest.mark.parametrize("case", OUTSIDE, ids=_case_id)
+def test_value_outside_a_declared_interval_is_a_config_error(tmp_path, case):
+    """Just past an end of a declared interval, a config built in Python
+    raises ValueError and the command that reads the key exits 2 before it
+    reads a scene or runs a trial."""
+    cls, key, value = case
+    with pytest.raises(ValueError, match=key):
+        cls(**{key: value})
+    conf = tmp_path / "run.conf"
+    write_kv(conf, {key: int(value) if isinstance(value, bool) else repr(value)})
+    out = tmp_path / "r"
+    if cls is BenchConfig:
+        args = ["bench"]
+    else:
+        args = ["pipeline", str(tmp_path / "nowhere")]
+    assert main([*args, "--config", str(conf), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ACCEPTED, ids=_case_id)
+def test_closed_end_of_a_declared_interval_is_accepted(case):
+    cls, key, value = case
+    assert getattr(cls(**{key: value}), key) == value
 
 
 def _float_fields(cls):
@@ -255,6 +324,56 @@ def test_pipeline_config_grids_a_small_face_at_its_own_pitch():
     assert config.reference.pitch == 0.004
     assert len(config.reference.cloud) == 11 * 6
     assert not config.reference.cloud.points.flags.writeable
+
+
+def _count_builds(monkeypatch):
+    """Lists that record each reference grid and each `BenchConfig` built."""
+    built, benches = [], []
+    real_face = bench.make_reference_face
+    real_init = BenchConfig.__post_init__
+
+    def face(*args):
+        built.append(args)
+        return real_face(*args)
+
+    def init(self):
+        benches.append(self)
+        real_init(self)
+
+    monkeypatch.setattr(bench, "make_reference_face", face)
+    monkeypatch.setattr(BenchConfig, "__post_init__", init)
+    return built, benches
+
+
+def test_pipeline_config_from_kv_builds_one_reference_grid(monkeypatch):
+    """A parse casts the face keys without a `BenchConfig` and grids the
+    face once, at the parsed pitch."""
+    built, benches = _count_builds(monkeypatch)
+    config = PipelineConfig.from_kv(PIPELINE_KV)
+    assert benches == []
+    assert built == [(CuboidSpec(0.4, 0.25, 0.06), 0.005)]
+    assert config.reference.pitch == 0.005
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline", "bench"])
+def test_seed_flag_builds_each_config_once(tmp_path, monkeypatch, command):
+    """`--seed` is one more key=value pair, so a command builds one config
+    and one reference grid."""
+    built, benches = _count_builds(monkeypatch)
+    conf = tmp_path / "run.conf"
+    conf.write_text("trials=1\nwarmup=0\n" if command == "bench" else "")
+    args = {
+        "synth": ["synth", "--out", str(tmp_path / "scene")],
+        "pipeline": ["pipeline", str(tmp_path / "nowhere")],
+        "bench": ["bench", "--out", str(tmp_path / "r")],
+    }[command]
+    assert main([*args, "--config", str(conf), "--seed", "3"]) == (
+        3 if command == "pipeline" else 0
+    )
+    assert len(built) == 1
+    assert len(benches) == (command != "pipeline")
+    if command != "pipeline":
+        assert benches[0].master_seed == 3
 
 
 def test_pipeline_config_unknown_key():
@@ -381,6 +500,23 @@ def test_readme_lists_the_bench_keys():
     assert _readme_keys("`bench`/`synth` config keys") == keys
 
 
+@pytest.mark.parametrize(
+    "cls, heading",
+    [
+        (PipelineConfig, "`pipeline` config keys"),
+        (BenchConfig, "`bench`/`synth` config keys"),
+    ],
+)
+def test_readme_states_each_declared_range_once(cls, heading):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index(heading) :].split("\n\n")[0]
+    section = " ".join(section.split())
+    for f in fields(cls):
+        if "range" in f.metadata:
+            assert section.count(f"`{f.name}` in ") == 1, f.name
+            assert f"`{f.name}` in {f.metadata['range']}" in section, f.name
+
+
 def test_pipeline_frame_does_no_repeated_work(tmp_path, drawn, monkeypatch):
     """One `run_pipeline` frame builds no reference face (the config holds
     it), scans a full-frame array for its box at most once (the component
@@ -391,14 +527,7 @@ def test_pipeline_frame_does_no_repeated_work(tmp_path, drawn, monkeypatch):
         drawn.gt_pose, drawn.spec.cuboid,
     )
     config = PipelineConfig(cuboid=drawn.spec.cuboid)
-    built = []
-    real_face = bench.make_reference_face
-
-    def face(*args):
-        built.append(args)
-        return real_face(*args)
-
-    monkeypatch.setattr(bench, "make_reference_face", face)
+    built, _ = _count_builds(monkeypatch)
     full_scans = []
     real_box = camera.pixel_box
 

@@ -100,6 +100,19 @@ def test_bench_writes_reports(tmp_path, capsys):
     assert "time_ratio_icp_over_correction=" in captured.out
 
 
+@pytest.mark.parametrize("command", ["pipeline", "bench"])
+def test_repeated_config_key_is_a_config_error(tmp_path, capsys, command):
+    """A config file that sets a key twice runs with neither value."""
+    conf = tmp_path / "run.conf"
+    conf.write_text("voxel_leaf_m=0.004\nvoxel_leaf_m=0.005\n")
+    out = tmp_path / "r"
+    args = ["bench"] if command == "bench" else ["pipeline", str(tmp_path / "nowhere")]
+    assert main([*args, "--config", str(conf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: 'voxel_leaf_m' repeats the key set on line 1" in err
+    assert not out.exists()
+
+
 def test_bench_bad_config_value(tmp_path):
     conf = tmp_path / "bench.conf"
     conf.write_text("trials=lots\n")

@@ -92,6 +92,14 @@ def test_kv_bad_line(tmp_path):
         read_kv(path)
 
 
+def test_kv_repeated_key_names_both_lines(tmp_path):
+    """A key set twice is an error, not the last value silently kept."""
+    path = tmp_path / "conf.txt"
+    path.write_text("alpha=1\n# note\nbeta=2\n alpha = 3\n")
+    with pytest.raises(ParseError, match="line 4: 'alpha' repeats .* on line 1"):
+        read_kv(path)
+
+
 def test_intrinsics_round_trip(tmp_path):
     intr = CameraIntrinsics(fx=920.0, fy=915.5, cx=641.25, cy=359.75, width=1280, height=720)
     path = tmp_path / "intrinsics.txt"
